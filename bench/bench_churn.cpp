@@ -250,7 +250,8 @@ struct SpfFixture {
   SpfFixture(std::size_t count, std::uint32_t chord_cost, bool full) {
     igp.set_full_spf(full);
     for (std::size_t i = 0; i < count; ++i) {
-      auto& r = topo.add_node<Router>("r" + std::to_string(i), Role::kP);
+      auto& r = topo.add_node<Router>(
+          std::string("r").append(std::to_string(i)), Role::kP);
       routers.push_back(r.id());
       igp.add_router(r.id());
     }

@@ -156,7 +156,7 @@ int main_impl() {
     std::vector<vpn::Router*> dnodes;
     for (int i = 0; i < 7; ++i) {
       dnodes.push_back(&dtopo.add_node<vpn::Router>(
-          "n" + std::to_string(i), vpn::Role::kPe));
+          std::string("n").append(std::to_string(i)), vpn::Role::kPe));
     }
     routing::ControlPlane dcp(dtopo);
     vpn::MembershipDirectory dir(dcp, dnodes[0]->id());

@@ -36,6 +36,7 @@
 #include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
 #include "traffic/source.hpp"
+#include "reference/legacy_source.hpp"
 
 namespace {
 
@@ -549,7 +550,9 @@ struct TopogenOpts {
   bool profile = false;
   bool flow = false;
   bool measure_profile = false;
-  bool flowset = false;  ///< SoA FlowSet engine instead of Source objects
+  /// SoA FlowSet engine instead of the reference per-flow Source objects
+  /// (tests/reference), which the megaflow A/B measures it against.
+  bool flowset = false;
   const std::vector<std::uint64_t>* weights = nullptr;
 };
 
@@ -632,7 +635,7 @@ ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
     sinks[lane_of(s)]->bind(*sites[s].ce);
   }
 
-  std::vector<std::unique_ptr<traffic::Source>> sources;
+  std::vector<std::unique_ptr<traffic::reference::Source>> sources;
   std::vector<std::unique_ptr<traffic::FlowSet>> fsets;
   const sim::SimTime tb = bb.topo.base_scheduler().now();
   const auto setup0 = std::chrono::steady_clock::now();
@@ -685,14 +688,13 @@ ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
     vpn::Router& ce = *sites[f.from].ce;
     qos::SlaProbe* probe = probes[lane_of(f.from)].get();
     if (f.kind == "cbr") {
-      sources.push_back(std::make_unique<traffic::CbrSource>(ce, spec, id,
-                                                             probe,
-                                                             f.rate_bps));
+      sources.push_back(std::make_unique<traffic::reference::CbrSource>(
+          ce, spec, id, probe, f.rate_bps));
     } else if (f.kind == "poisson") {
-      sources.push_back(std::make_unique<traffic::PoissonSource>(
+      sources.push_back(std::make_unique<traffic::reference::PoissonSource>(
           ce, spec, id, probe, f.rate_bps));
     } else {
-      sources.push_back(std::make_unique<traffic::OnOffSource>(
+      sources.push_back(std::make_unique<traffic::reference::OnOffSource>(
           ce, spec, id, probe, f.rate_bps, 0.2, 0.2));
     }
   }
@@ -1045,7 +1047,8 @@ int run_flow_phases(const char* json_path) {
 //
 // Two questions about the SoA FlowSet engine:
 // 1) A/B at the established 8k-flow workload: byte identity against the
-//    per-flow Source objects (delivered counts + merged SLA CSV, the same
+//    reference per-flow Source objects of tests/reference, the engine
+//    FlowSet replaced (delivered counts + merged SLA CSV, the same
 //    "md5-equal" idiom the shard phases use) and the pps ratio, interleaved
 //    rep by rep like every other A/B here.
 // 2) The 10^4/10^5/10^6 flow sweep the Source engine was never asked to

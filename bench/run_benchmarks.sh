@@ -31,7 +31,8 @@
 # (flow-on must replay byte-identical delivered/SLA outputs; the serial
 # accounting overhead is bounded; flow-weighted partitioning must spread
 # the topology-generator hot spot across shards). The megaflow phase A/Bs
-# the SoA FlowSet source engine against the legacy per-flow Source objects
+# the SoA FlowSet source engine against the reference per-flow Source
+# objects kept in tests/reference (the engine FlowSet replaced)
 # (byte-identical delivered/SLA outputs at 8k flows, serial == 4-shard at
 # 10^5 flows, <= 64 B of source state per flow, 10^5-flow setup under 1 s)
 # and sweeps 10^4/10^5/10^6 flows for setup time, throughput and peak
@@ -273,13 +274,14 @@ t0=$(mark)
 record_phase megaflow "$t0" "$(mark)"
 
 # PR9 megaflow guards. Identity is unconditional and in-process: at 8k
-# flows the FlowSet engine must replay the legacy Source path's delivered
+# flows the FlowSet engine must replay the reference per-flow Source
+# engine's (tests/reference; "legacy" in the JSON keys) delivered
 # counts and per-class SLA table byte for byte, and at 10^5 flows the
 # serial and 4-shard FlowSet runs must agree the same way. The footprint
 # guards are deterministic: <= 64 B of SoA source state per flow at 10^5
 # flows, and the 10^5-flow build+arm must finish inside 1 s. The
 # throughput guard is the interleaved best-of-3 A/B at 8k flows — the
-# FlowSet path must keep >= 97% of the legacy rate on hosts with real
+# FlowSet path must keep >= 97% of the reference rate on hosts with real
 # parallel headroom; on a time-sliced single core the run-to-run noise is
 # wider, so there we only require the 80% floor.
 jq -e '

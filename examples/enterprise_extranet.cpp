@@ -37,12 +37,10 @@ int main() {
 
   // Sites. Note both companies use 10.1/16 — overlap is fine.
   auto manu_hq = bb.add_site(manu, 0, ip::Prefix::must_parse("10.1.0.0/16"));
-  auto manu_plant =
-      bb.add_site(manu, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+  bb.add_site(manu, 1, ip::Prefix::must_parse("10.2.0.0/16"));
   auto supp_hq = bb.add_site(supp, 2, ip::Prefix::must_parse("10.1.0.0/16"));
   // The shared ordering portal lives in the extranet VPN.
-  auto portal =
-      bb.add_site(extranet, 1, ip::Prefix::must_parse("192.168.10.0/24"));
+  bb.add_site(extranet, 1, ip::Prefix::must_parse("192.168.10.0/24"));
   bb.start_and_converge();
 
   std::printf("converged: %zu VRFs, %zu VRF routes across the provider\n\n",

@@ -63,9 +63,10 @@ int main() {
   t.add_row({"BGP sessions (20 PEs + 2 RRs)",
              std::to_string(bb.bgp.session_count()), "n/a"});
   t.add_row({"control messages to converge",
-             std::to_string(bb.cp.total_messages()), "~" +
-                 std::to_string(kSites * (kSites - 1) / 2 * 2 * 5) +
-                 " provisioning actions"});
+             std::to_string(bb.cp.total_messages()),
+             std::string("~")
+                 .append(std::to_string(kSites * (kSites - 1) / 2 * 2 * 5))
+                 .append(" provisioning actions")});
   std::printf("%s\n", t.render().c_str());
 
   // A PE's operational state, for scale feel.

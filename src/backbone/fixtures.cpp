@@ -18,8 +18,8 @@ MplsBackbone::MplsBackbone(const BackboneConfig& config)
   core_link.queue_factory = config_.core_queue;
 
   for (std::size_t i = 0; i < config_.p_count; ++i) {
-    auto& r = topo.add_node<vpn::Router>("P" + std::to_string(i),
-                                         vpn::Role::kP);
+    auto& r = topo.add_node<vpn::Router>(
+        std::string("P").append(std::to_string(i)), vpn::Role::kP);
     ps_.push_back(&r);
     service.add_provider_router(r);
   }
@@ -210,8 +210,8 @@ std::unique_ptr<MplsBackbone> make_random_backbone(std::size_t p_count,
   std::vector<vpn::Router*> ps;
   std::vector<vpn::Router*> pes;
   for (std::size_t i = 0; i < p_count; ++i) {
-    auto& r = bb->topo.add_node<vpn::Router>("P" + std::to_string(i),
-                                             vpn::Role::kP);
+    auto& r = bb->topo.add_node<vpn::Router>(
+        std::string("P").append(std::to_string(i)), vpn::Role::kP);
     ps.push_back(&r);
     bb->service.add_provider_router(r);
   }
@@ -333,8 +333,8 @@ IpsecBackbone::IpsecBackbone(std::size_t core_count, ipsec::CipherSuite suite,
   core_link.bandwidth_bps = 45e6;
   core_link.prop_delay = 2 * sim::kMillisecond;
   for (std::size_t i = 0; i < core_count; ++i) {
-    auto& r = topo.add_node<vpn::Router>("R" + std::to_string(i),
-                                         vpn::Role::kP);
+    auto& r = topo.add_node<vpn::Router>(
+        std::string("R").append(std::to_string(i)), vpn::Role::kP);
     cores_.push_back(&r);
     service.enroll_router(r);
   }

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "backbone/partition.hpp"
@@ -229,7 +230,11 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
     ++line_no;
     const Line line = tokenize(raw);
     if (line.directive.empty()) continue;
-    auto kv = [&](const char* key) -> std::optional<std::string> {
+    // Keys the directive below reads; anything else on the line is a typo
+    // or a retired switch and fails the parse instead of being ignored.
+    std::set<std::string> read;
+    auto kv = [&](const std::string& key) -> std::optional<std::string> {
+      read.insert(key);
       auto it = line.kv.find(key);
       if (it == line.kv.end()) return std::nullopt;
       return it->second;
@@ -244,6 +249,7 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         if (!apply_topogen_param(params, key, value)) {
           return fail(line_no, "bad topogen " + key + "=" + value);
         }
+        read.insert(key);
       }
       sc.topogen_ = params;
     } else if (line.directive == "backbone") {
@@ -412,7 +418,7 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
           return fail(line_no, "bad start=");
         }
       }
-      if (line.kv.count("premark") != 0) f.premark = true;
+      if (kv("premark")) f.premark = true;
       sc.flows_.push_back(f);
     } else if (line.directive == "run") {
       if (auto v = kv("for")) {
@@ -436,15 +442,6 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
           return fail(line_no, "bad flowcache= (want on|off)");
         }
       }
-      if (auto v = kv("sources")) {
-        if (*v == "legacy") {
-          sc.legacy_sources_ = true;
-        } else if (*v == "flowset") {
-          sc.legacy_sources_ = false;
-        } else {
-          return fail(line_no, "bad sources= (want flowset|legacy)");
-        }
-      }
       if (auto v = kv("updates")) {
         if (*v == "legacy") {
           sc.legacy_updates_ = true;
@@ -465,6 +462,18 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
       }
     } else {
       return fail(line_no, "unknown directive " + line.directive);
+    }
+    for (const auto& [key, value] : line.kv) {
+      if (read.count(key) == 0) {
+        return fail(line_no, "unknown key " + key + "= for " + line.directive);
+      }
+    }
+    // Only these directives take bare tokens (counts checked above).
+    if (!line.positional.empty() && line.directive != "topology" &&
+        line.directive != "vpn" && line.directive != "extranet" &&
+        line.directive != "site" && line.directive != "flow") {
+      return fail(line_no, "unexpected token " + line.positional[0] +
+                               " for " + line.directive);
     }
   }
   // A generated topology expands here, before cross-reference validation:
@@ -751,10 +760,6 @@ bool Scenario::run(std::ostream& out) const {
     if (!runtime) return sink;
     return *shard_sinks[topo.shard_of(built[site].ce->id())];
   };
-  auto probe_at = [&](std::size_t site) -> qos::SlaProbe& {
-    if (!runtime) return probe;
-    return *shard_probes[topo.shard_of(built[site].ce->id())];
-  };
   auto merge_shard_observers = [&] {
     probe = qos::SlaProbe("scenario");
     for (const auto& sp : shard_probes) probe.merge_from(*sp);
@@ -887,18 +892,16 @@ bool Scenario::run(std::ostream& out) const {
     }
   }
 
-  std::vector<std::unique_ptr<traffic::Source>> sources;
-  std::vector<double> source_start_s;  // parallel to `sources`
   std::vector<std::unique_ptr<traffic::TcpLiteFlow>> tcp_flows;
-  // Default engine: one SoA FlowSet per engine lane (the serial scheduler,
-  // or each shard's) holding every cbr/poisson/onoff flow whose source CE
-  // lives on that lane — byte-identical to the legacy per-flow Source
-  // objects, which `run sources=legacy` brings back for A/B runs.
+  // One SoA FlowSet per engine lane (the serial scheduler, or each
+  // shard's) holding every cbr/poisson/onoff flow whose source CE lives on
+  // that lane. Null when the CE has no lane (not mapped to a shard).
   std::vector<std::unique_ptr<traffic::FlowSet>> flowsets(
       runtime ? runtime->shard_count() : 1);
-  auto flowset_at = [&](std::size_t site) -> traffic::FlowSet& {
+  auto flowset_at = [&](std::size_t site) -> traffic::FlowSet* {
     const std::uint32_t lane =
         runtime ? topo.shard_of(built[site].ce->id()) : 0;
+    if (lane >= flowsets.size()) return nullptr;
     auto& fs = flowsets[lane];
     if (!fs) {
       fs = std::make_unique<traffic::FlowSet>(
@@ -911,7 +914,7 @@ bool Scenario::run(std::ostream& out) const {
         fs->add_site(*sb.ce, ip::Ipv4Address(sb.prefix.address().value() + 1));
       }
     }
-    return *fs;
+    return fs.get();
   };
   std::uint32_t flow_id = 1;
   const sim::SimTime t0 = bb.topo.scheduler().now();
@@ -933,46 +936,29 @@ bool Scenario::run(std::ostream& out) const {
       continue;
     }
     const vpn::VpnId flow_vpn = vpn_ids.at(f.vpn);
-    if (legacy_sources_) {
-      traffic::FlowSpec spec;
-      spec.src = ip::Ipv4Address(built[f.from].prefix.address().value() + 1);
-      spec.dst = ip::Ipv4Address(built[f.to].prefix.address().value() + 1);
-      spec.dst_port = f.port;
-      spec.payload_bytes = f.size;
-      spec.vpn = flow_vpn;
-      spec.phb = f.phb;
-      spec.premark = f.premark;
-      qos::SlaProbe* flow_probe = &probe_at(f.from);
-      if (f.kind == "cbr") {
-        sources.push_back(std::make_unique<traffic::CbrSource>(
-            ce, spec, flow_id, flow_probe, f.rate));
-      } else if (f.kind == "poisson") {
-        sources.push_back(std::make_unique<traffic::PoissonSource>(
-            ce, spec, flow_id, flow_probe, f.rate));
-      } else {
-        sources.push_back(std::make_unique<traffic::OnOffSource>(
-            ce, spec, flow_id, flow_probe, f.rate, f.on_s, f.off_s));
-      }
-      source_start_s.push_back(f.start_s);
-    } else {
-      traffic::FlowSet::FlowDef d;
-      d.flow_id = flow_id;
-      d.from_site = static_cast<std::uint32_t>(f.from);
-      d.to_site = static_cast<std::uint32_t>(f.to);
-      d.kind = f.kind == "cbr"       ? traffic::FlowSet::Kind::kCbr
-               : f.kind == "poisson" ? traffic::FlowSet::Kind::kPoisson
-                                     : traffic::FlowSet::Kind::kOnOff;
-      d.rate_bps = f.rate;
-      d.on_s = f.on_s;
-      d.off_s = f.off_s;
-      d.vpn = flow_vpn;
-      d.phb = f.phb;
-      d.premark = f.premark;
-      d.dst_port = f.port;
-      d.payload_bytes = static_cast<std::uint32_t>(f.size);
-      d.start = t0 + sim::from_seconds(f.start_s);
-      flowset_at(f.from).add_flow(d);
+    traffic::FlowSet* fs = flowset_at(f.from);
+    if (fs == nullptr) {
+      out << "flow " << flow_id << ": source site " << f.from
+          << " is not mapped to any engine lane\n";
+      return false;
     }
+    traffic::FlowSet::FlowDef d;
+    d.flow_id = flow_id;
+    d.from_site = static_cast<std::uint32_t>(f.from);
+    d.to_site = static_cast<std::uint32_t>(f.to);
+    d.kind = f.kind == "cbr"       ? traffic::FlowSet::Kind::kCbr
+             : f.kind == "poisson" ? traffic::FlowSet::Kind::kPoisson
+                                   : traffic::FlowSet::Kind::kOnOff;
+    d.rate_bps = f.rate;
+    d.on_s = f.on_s;
+    d.off_s = f.off_s;
+    d.vpn = flow_vpn;
+    d.phb = f.phb;
+    d.premark = f.premark;
+    d.dst_port = f.port;
+    d.payload_bytes = static_cast<std::uint32_t>(f.size);
+    d.start = t0 + sim::from_seconds(f.start_s);
+    fs->add_flow(d);
     // When dispatchers own the sinks, route measured flows through them.
     if (any_tcp) {
       dispatcher_for(f.to).register_flow(
@@ -990,10 +976,6 @@ bool Scenario::run(std::ostream& out) const {
     ++flow_id;
   }
 
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    sources[i]->run(t0 + sim::from_seconds(source_start_s[i]),
-                    t0 + sim::from_seconds(run_for_s_));
-  }
   for (auto& fs : flowsets) {
     if (fs) fs->run(t0 + sim::from_seconds(run_for_s_));
   }
@@ -1194,7 +1176,7 @@ int run_scenario_file(const std::string& path, std::ostream& out,
                       const ObsOptions& obs, std::uint32_t shards,
                       int flowcache, bool verbose,
                       std::vector<std::uint64_t> partition_weights,
-                      int legacy_sources, int legacy_updates, int full_spf) {
+                      int legacy_updates, int full_spf) {
   std::ifstream in(path);
   if (!in) {
     out << "cannot open " << path << "\n";
@@ -1211,7 +1193,6 @@ int run_scenario_file(const std::string& path, std::ostream& out,
   scenario->set_obs(obs);
   if (shards != 0) scenario->set_shards(shards);
   if (flowcache >= 0) scenario->set_flowcache(flowcache != 0);
-  if (legacy_sources >= 0) scenario->set_legacy_sources(legacy_sources != 0);
   if (legacy_updates >= 0) scenario->set_legacy_updates(legacy_updates != 0);
   if (full_spf >= 0) scenario->set_full_spf(full_spf != 0);
   scenario->set_verbose(verbose);

@@ -9,8 +9,8 @@
 #include "backbone/fixtures.hpp"
 #include "backbone/topogen.hpp"
 #include "obs/trace.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 namespace mvpn::backbone {
 
@@ -111,9 +111,6 @@ struct ObsOptions {
 ///   run for=5 shards=4 flowcache=off       # seconds of traffic (+2 s drain);
 ///                                          # shards>1 = parallel engine;
 ///                                          # flowcache=off: slow path only;
-///                                          # sources=legacy: per-flow Source
-///                                          # objects instead of the FlowSet
-///                                          # engine (A/B, byte-identical)
 ///                                          # updates=legacy: per-route BGP
 ///                                          # messages instead of packed
 ///                                          # update groups (A/B)
@@ -125,7 +122,12 @@ struct ObsOptions {
 /// or offset by `start=SECONDS` on a flow line (generated topologies set
 /// per-flow offsets to keep same-class sources out of nanosecond lockstep;
 /// see PlanFlow in backbone/topogen.hpp). Source and destination hosts are
-/// derived from the sites' prefixes.
+/// derived from the sites' prefixes. cbr/poisson/onoff flows are emitted by
+/// one traffic::FlowSet per engine lane.
+///
+/// Each directive accepts exactly the keys listed above (`premark=1` on a
+/// flow line writes the class DSCP at the host); an unknown key or a stray
+/// bare token fails the parse with its line number.
 struct ScenarioError {
   std::size_t line = 0;
   std::string message;
@@ -166,15 +168,6 @@ class Scenario {
   /// balance, lookahead) to stderr when the run goes parallel.
   void set_verbose(bool on) { verbose_ = on; }
   [[nodiscard]] bool verbose() const noexcept { return verbose_; }
-
-  /// Build cbr/poisson/onoff flows as per-flow Source objects instead of
-  /// the SoA FlowSet engine (also settable via `run sources=legacy`).
-  /// Results are byte-identical either way — the toggle exists for A/B
-  /// verification and benchmarking of the megaflow engine.
-  void set_legacy_sources(bool on) { legacy_sources_ = on; }
-  [[nodiscard]] bool legacy_sources() const noexcept {
-    return legacy_sources_;
-  }
 
   /// Send one BGP message per (route, peer) instead of packed per-peer
   /// update groups (also settable via `run updates=legacy`). Final RIBs
@@ -273,7 +266,6 @@ class Scenario {
   std::uint32_t shards_ = 1;
   bool flowcache_ = true;
   bool verbose_ = false;
-  bool legacy_sources_ = false;
   bool legacy_updates_ = false;
   bool full_spf_ = false;
   std::vector<std::uint64_t> partition_weights_;
@@ -288,15 +280,13 @@ class Scenario {
 /// `verbose` prints partition diagnostics to stderr.
 /// `partition_weights` feeds the flow-weighted partitioner (see
 /// Scenario::set_partition_weights).
-/// `legacy_sources` 0/1 overrides `run sources=` (-1 leaves the file's
-/// choice); `legacy_updates` and `full_spf` likewise override
-/// `run updates=` / `run spf=`.
+/// `legacy_updates` and `full_spf` 0/1 override `run updates=` /
+/// `run spf=` (-1 leaves the file's choice).
 int run_scenario_file(const std::string& path, std::ostream& out);
 int run_scenario_file(const std::string& path, std::ostream& out,
                       const ObsOptions& obs, std::uint32_t shards = 0,
                       int flowcache = -1, bool verbose = false,
                       std::vector<std::uint64_t> partition_weights = {},
-                      int legacy_sources = -1, int legacy_updates = -1,
-                      int full_spf = -1);
+                      int legacy_updates = -1, int full_spf = -1);
 
 }  // namespace mvpn::backbone

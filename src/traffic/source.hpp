@@ -2,27 +2,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "qos/dscp.hpp"
 #include "qos/sla.hpp"
-#include "sim/rng.hpp"
+#include "traffic/flowset.hpp"
 #include "vpn/router.hpp"
 
 namespace mvpn::traffic {
-
-/// Emission interval for an IP-level rate: one header+payload packet every
-/// `pkt_bits / rate_bps` seconds. Shared by the legacy Source subclasses and
-/// the FlowSet engine so both compute byte-identical gaps (same doubles,
-/// same from_seconds truncation).
-[[nodiscard]] inline sim::SimTime interval_for_rate(
-    double rate_bps, std::size_t payload_bytes) noexcept {
-  const double pkt_bits = static_cast<double>(net::kIpv4HeaderBytes +
-                                              net::kL4HeaderBytes +
-                                              payload_bytes) *
-                          8.0;
-  return sim::from_seconds(pkt_bits / rate_bps);
-}
 
 /// Static description of one generated flow.
 struct FlowSpec {
@@ -39,41 +25,41 @@ struct FlowSpec {
   bool premark = false;
 };
 
-/// Base class for packet generators. Subclasses define the interarrival
-/// process; the base handles scheduling, packet construction, injection at
-/// the attachment router (which applies the CE edge policy) and sent-side
-/// SLA accounting.
+/// One generated flow injected at `attach` (which applies the CE edge
+/// policy), with sent-side SLA accounting. A one-flow façade over
+/// FlowSet, the only packet-emission engine: run() builds a FlowSet
+/// holding just this flow on the scheduler that owns the attachment
+/// node's events (its shard's under a parallel run). Destroying a running
+/// source cancels its pending emission.
 class Source {
  public:
-  Source(vpn::Router& attach, FlowSpec spec, std::uint32_t flow_id,
-         qos::SlaProbe* probe);
   virtual ~Source() = default;
 
   Source(const Source&) = delete;
   Source& operator=(const Source&) = delete;
 
-  /// Generate packets during [start, stop).
+  /// Generate packets during [start, stop). `start` is clamped to the
+  /// scheduler's now (scenarios often say "start at 0" after convergence
+  /// already consumed some simulated time).
   void run(sim::SimTime start, sim::SimTime stop);
 
-  [[nodiscard]] std::uint32_t flow_id() const noexcept { return flow_id_; }
+  [[nodiscard]] std::uint32_t flow_id() const noexcept { return def_.flow_id; }
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_; }
+  [[nodiscard]] std::uint64_t packets_sent() const noexcept {
+    return set_ ? set_->packets_sent() : 0;
+  }
 
  protected:
-  /// Time until the next packet emission.
-  [[nodiscard]] virtual sim::SimTime next_interval() = 0;
-  [[nodiscard]] sim::Rng& rng() noexcept { return rng_; }
+  Source(vpn::Router& attach, FlowSpec spec, std::uint32_t flow_id,
+         qos::SlaProbe* probe, FlowSet::Kind kind, double rate_bps,
+         double mean_on_s = 0.2, double mean_off_s = 0.2);
 
  private:
-  void emit();
-
   vpn::Router& attach_;
   FlowSpec spec_;
-  std::uint32_t flow_id_;
   qos::SlaProbe* probe_;
-  sim::Rng rng_;
-  sim::SimTime stop_at_ = 0;
-  std::uint64_t sent_ = 0;
+  FlowSet::FlowDef def_;
+  std::unique_ptr<FlowSet> set_;
 };
 
 /// Constant-bit-rate source (the voice-like workload of the QoS
@@ -82,26 +68,17 @@ class CbrSource final : public Source {
  public:
   /// `rate_bps` of IP-level goodput (header+payload).
   CbrSource(vpn::Router& attach, FlowSpec spec, std::uint32_t flow_id,
-            qos::SlaProbe* probe, double rate_bps);
-
- protected:
-  sim::SimTime next_interval() override { return interval_; }
-
- private:
-  sim::SimTime interval_;
+            qos::SlaProbe* probe, double rate_bps)
+      : Source(attach, spec, flow_id, probe, FlowSet::Kind::kCbr, rate_bps) {}
 };
 
 /// Poisson arrivals at a mean rate (classic data traffic model).
 class PoissonSource final : public Source {
  public:
   PoissonSource(vpn::Router& attach, FlowSpec spec, std::uint32_t flow_id,
-                qos::SlaProbe* probe, double mean_rate_bps);
-
- protected:
-  sim::SimTime next_interval() override;
-
- private:
-  double mean_interval_s_;
+                qos::SlaProbe* probe, double mean_rate_bps)
+      : Source(attach, spec, flow_id, probe, FlowSet::Kind::kPoisson,
+               mean_rate_bps) {}
 };
 
 /// Exponential on/off source (bursty video-like traffic): CBR at
@@ -110,16 +87,9 @@ class OnOffSource final : public Source {
  public:
   OnOffSource(vpn::Router& attach, FlowSpec spec, std::uint32_t flow_id,
               qos::SlaProbe* probe, double peak_bps, double mean_on_s,
-              double mean_off_s);
-
- protected:
-  sim::SimTime next_interval() override;
-
- private:
-  sim::SimTime on_interval_;
-  double mean_on_s_;
-  double mean_off_s_;
-  sim::SimTime burst_remaining_ = 0;
+              double mean_off_s)
+      : Source(attach, spec, flow_id, probe, FlowSet::Kind::kOnOff, peak_bps,
+               mean_on_s, mean_off_s) {}
 };
 
 }  // namespace mvpn::traffic

@@ -437,7 +437,7 @@ TEST(RsvpTe, NonAdjacentExplicitRouteFails) {
 
 TEST(RsvpTe, UnknownLspThrows) {
   MplsFixture f;
-  EXPECT_THROW(f.rsvp.lsp(42), std::out_of_range);
+  EXPECT_THROW((void)f.rsvp.lsp(42), std::out_of_range);
 }
 
 }  // namespace

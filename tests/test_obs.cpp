@@ -331,8 +331,9 @@ TEST(Sinks, JsonlAndChromeTraceRenderEvents) {
   EXPECT_NE(jsonl.find("\"node\":\"node1\""), std::string::npos);
 
   std::ostringstream ct;
-  obs::write_chrome_trace(
-      rec, ct, [](std::uint32_t id) { return "R" + std::to_string(id); });
+  obs::write_chrome_trace(rec, ct, [](std::uint32_t id) {
+    return std::string("R").append(std::to_string(id));
+  });
   const std::string chrome = ct.str();
   EXPECT_EQ(chrome.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(chrome.find("\"ph\":\"M\""), std::string::npos);  // thread names

@@ -91,7 +91,9 @@ TEST_P(FibEquivalence, TrieAndDir24AgreeEverywhere) {
     const std::uint16_t* expect = trie.longest_match(a);
     const auto got = fib.lookup(a);
     ASSERT_EQ(got.has_value(), expect != nullptr) << a.to_string();
-    if (expect != nullptr) ASSERT_EQ(*got, *expect) << a.to_string();
+    if (expect != nullptr) {
+      ASSERT_EQ(*got, *expect) << a.to_string();
+    }
   }
 }
 
@@ -152,7 +154,8 @@ TEST_P(IsolationFuzz, RandomVpnMeshNeverLeaks) {
   std::vector<vpn::VpnId> vpns;
   std::vector<std::vector<backbone::MplsBackbone::Site>> sites(kVpns);
   for (std::size_t v = 0; v < kVpns; ++v) {
-    vpns.push_back(bb.service.create_vpn("V" + std::to_string(v)));
+    vpns.push_back(
+        bb.service.create_vpn(std::string("V").append(std::to_string(v))));
     for (std::size_t i = 0; i < kSitesPerVpn; ++i) {
       // Deliberately identical address plans in every VPN.
       const auto prefix =
@@ -216,7 +219,8 @@ TEST_P(RandomTopology, AnyToAnyReachabilityAndIsolationHold) {
   std::vector<vpn::VpnId> vpns;
   std::vector<std::vector<backbone::MplsBackbone::Site>> sites(kVpns);
   for (std::size_t v = 0; v < kVpns; ++v) {
-    vpns.push_back(bb->service.create_vpn("V" + std::to_string(v)));
+    vpns.push_back(
+        bb->service.create_vpn(std::string("V").append(std::to_string(v))));
     for (std::size_t i = 0; i < 3; ++i) {
       sites[v].push_back(bb->add_site(
           vpns[v],

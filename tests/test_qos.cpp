@@ -524,7 +524,7 @@ TEST(SlaProbe, TracksPerClassLatencyAndLoss) {
   EXPECT_DOUBLE_EQ(r.latency_s.mean(), 0.010);
   EXPECT_DOUBLE_EQ(r.goodput_bps(1.0), 4000.0);
   EXPECT_FALSE(probe.has_class(Phb::kBe));
-  EXPECT_THROW(probe.report(Phb::kBe), std::out_of_range);
+  EXPECT_THROW((void)probe.report(Phb::kBe), std::out_of_range);
 }
 
 TEST(SlaProbe, JitterFromConsecutiveDeltas) {

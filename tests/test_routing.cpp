@@ -245,7 +245,7 @@ TEST(Igp, MembershipQueriesThrowForStrangers) {
   IgpFixture f;
   f.add("a");
   EXPECT_FALSE(f.igp.is_member(99));
-  EXPECT_THROW(f.igp.lsdb(99), std::invalid_argument);
+  EXPECT_THROW((void)f.igp.lsdb(99), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -294,7 +294,8 @@ TEST(Bgp, RouteReflectorReachesEveryClientWithFewerSessions) {
   BgpFixture f;
   Bgp bgp(f.cp, Bgp::Mode::kRouteReflector);
   for (ip::NodeId n = 0; n < 6; ++n) {
-    f.topo.add_node<Router>("n" + std::to_string(n), Role::kPe);
+    f.topo.add_node<Router>(std::string("n").append(std::to_string(n)),
+                            Role::kPe);
   }
   for (ip::NodeId n = 0; n < 5; ++n) bgp.add_speaker(n);
   bgp.add_route_reflector(5);
@@ -523,7 +524,8 @@ TEST(Bgp, TwoReflectorsGiveRedundantPropagation) {
   BgpFixture f;
   Bgp bgp(f.cp, Bgp::Mode::kRouteReflector);
   for (ip::NodeId n = 0; n < 6; ++n) {
-    f.topo.add_node<Router>("n" + std::to_string(n), Role::kPe);
+    f.topo.add_node<Router>(std::string("n").append(std::to_string(n)),
+                            Role::kPe);
   }
   for (ip::NodeId n = 0; n < 4; ++n) bgp.add_speaker(n);
   bgp.add_route_reflector(4);
@@ -741,7 +743,8 @@ std::vector<std::vector<VpnRoute>> rr_script_ribs(bool packed,
   Bgp bgp(f.cp, Bgp::Mode::kRouteReflector);
   constexpr ip::NodeId kClients = 6;
   for (ip::NodeId n = 0; n < kClients + 2; ++n) {
-    f.topo.add_node<Router>("n" + std::to_string(n), Role::kPe);
+    f.topo.add_node<Router>(std::string("n").append(std::to_string(n)),
+                            Role::kPe);
   }
   for (ip::NodeId n = 0; n < kClients; ++n) bgp.add_speaker(n);
   bgp.add_route_reflector(kClients);
@@ -831,7 +834,8 @@ TEST(Bgp, ReflectionTerminatesUnderPacking) {
   BgpFixture f;
   Bgp bgp(f.cp, Bgp::Mode::kRouteReflector);
   for (ip::NodeId n = 0; n < 6; ++n) {
-    f.topo.add_node<Router>("n" + std::to_string(n), Role::kPe);
+    f.topo.add_node<Router>(std::string("n").append(std::to_string(n)),
+                            Role::kPe);
   }
   for (ip::NodeId n = 0; n < 4; ++n) bgp.add_speaker(n);
   bgp.add_route_reflector(4);

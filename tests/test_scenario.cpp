@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "backbone/scenario_config.hpp"
 
@@ -129,21 +132,86 @@ TEST(ScenarioParse, ErrorCarriesLineNumber) {
   EXPECT_EQ(err.line, 3u);
 }
 
-TEST(ScenarioParse, RunSourcesDirective) {
-  const std::string legacy =
-      std::string(kMinimal) + "run for=1 sources=legacy\n";
-  const std::string flowset =
-      std::string(kMinimal) + "run for=1 sources=flowset\n";
+TEST(ScenarioParse, RunSourcesDirectiveIsRejected) {
+  // The per-flow source engine is gone; an old file's switch must fail
+  // loudly instead of silently running the only engine left.
+  for (const char* value : {"legacy", "flowset"}) {
+    const std::string text =
+        std::string(kMinimal) + "run for=1 sources=" + value + "\n";
+    ScenarioError err;
+    EXPECT_FALSE(Scenario::parse(text, &err).has_value()) << value;
+    EXPECT_EQ(err.line, 8u) << value;
+    EXPECT_NE(err.message.find("sources="), std::string::npos) << err.message;
+  }
+}
+
+TEST(ScenarioParse, UnknownKeyRejectedOnEveryDirective) {
+  // One valid line per directive, each with a stray key appended: the
+  // error names the key and carries the offending line's number.
+  const std::vector<std::string> lines = {
+      "backbone p=1 pe=2 seed=3",
+      "vpn corp",
+      "vpn partner",
+      "extranet corp partner",
+      "site corp pe=0 prefix=10.1.0.0/16",
+      "site corp pe=1 prefix=10.2.0.0/16",
+      "classify site=0 dstport=16400 class=EF",
+      "police site=0 class=EF cir=62500 cbs=4000 ebs=4000",
+      "shape site=0 class=AF11 rate=125000 burst=3000",
+      "flow cbr vpn=corp from=0 to=1 rate=200e3",
+      "run for=1",
+  };
+  auto join = [&](std::size_t bad) {
+    std::string text;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      text += lines[i] + (i == bad ? " bogus=3" : "") + "\n";
+    }
+    return text;
+  };
   ScenarioError err;
-  auto sl = Scenario::parse(legacy, &err);
-  ASSERT_TRUE(sl.has_value()) << err.message;
-  EXPECT_TRUE(sl->legacy_sources());
-  auto sf = Scenario::parse(flowset, &err);
-  ASSERT_TRUE(sf.has_value()) << err.message;
-  EXPECT_FALSE(sf->legacy_sources());
-  const std::string bad = std::string(kMinimal) + "run for=1 sources=magic\n";
-  EXPECT_FALSE(Scenario::parse(bad, &err).has_value());
-  EXPECT_NE(err.message.find("sources="), std::string::npos) << err.message;
+  ASSERT_TRUE(Scenario::parse(join(lines.size()), &err).has_value())
+      << "line " << err.line << ": " << err.message;
+  for (std::size_t bad = 0; bad < lines.size(); ++bad) {
+    err = ScenarioError{};
+    EXPECT_FALSE(Scenario::parse(join(bad), &err).has_value()) << lines[bad];
+    EXPECT_EQ(err.line, bad + 1) << lines[bad];
+    EXPECT_NE(err.message.find("bogus="), std::string::npos)
+        << lines[bad] << ": " << err.message;
+  }
+  EXPECT_FALSE(Scenario::parse("topology generated p=2 pe=4 bogus=3\n", &err)
+                   .has_value());
+  EXPECT_EQ(err.line, 1u);
+  EXPECT_NE(err.message.find("bogus="), std::string::npos) << err.message;
+  // Police keys are not shape keys and vice versa.
+  EXPECT_FALSE(Scenario::parse(std::string(kMinimal) +
+                                   "shape site=0 rate=1e5 cir=5\n",
+                               &err)
+                   .has_value());
+  EXPECT_NE(err.message.find("cir="), std::string::npos) << err.message;
+  // A bare token where the directive takes none is rejected too.
+  EXPECT_FALSE(
+      Scenario::parse(std::string(kMinimal) + "run for=1 fast\n", &err)
+          .has_value());
+  EXPECT_NE(err.message.find("fast"), std::string::npos) << err.message;
+}
+
+TEST(ScenarioParse, ShippedAndGeneratedScenariosStillParse) {
+  std::ifstream in(std::string(MVPN_SOURCE_DIR) +
+                   "/examples/scenarios/branch_office.scn");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  ScenarioError err;
+  auto shipped = Scenario::parse(text.str(), &err);
+  ASSERT_TRUE(shipped.has_value()) << "line " << err.line << ": "
+                                   << err.message;
+  EXPECT_EQ(shipped->flow_count(), 3u);
+  auto generated = Scenario::parse(
+      "topology generated p=8 pe=16 ce=2 flows=512 seed=5\nrun for=1\n",
+      &err);
+  ASSERT_TRUE(generated.has_value()) << err.message;
+  EXPECT_TRUE(generated->generated());
+  EXPECT_EQ(generated->flow_count(), 512u);
 }
 
 TEST(ScenarioParse, RunUpdatesAndSpfDirectives) {
@@ -225,33 +293,6 @@ run for=3
   const auto pos = report.find("tcp flow 2: goodput ");
   ASSERT_NE(pos, std::string::npos) << report;
   EXPECT_EQ(report.find("goodput 0.00", pos), std::string::npos) << report;
-}
-
-TEST(ScenarioRun, LegacyAndFlowSetSourcesProduceIdenticalReports) {
-  // The megaflow A/B contract at scenario level: the full run() output —
-  // SLA tables, per-class rows, delivery accounting — must be byte-equal
-  // between per-flow Source objects and the FlowSet engine.
-  const char* text = R"(
-backbone p=2 pe=2 core_bw=4e6 edge_bw=20e6 seed=21 core_queue=prio
-vpn corp
-site corp pe=0 prefix=10.1.0.0/16
-site corp pe=1 prefix=10.2.0.0/16
-classify site=0 dstport=16400 class=EF
-flow cbr vpn=corp from=0 to=1 rate=200e3 class=EF port=16400 size=172
-flow poisson vpn=corp from=0 to=1 rate=1e6 size=1472
-flow onoff vpn=corp from=0 to=1 rate=2e6 on=0.3 off=0.2 class=AF21 port=5004 start=0.01
-run for=2
-)";
-  ScenarioError err;
-  auto sc = Scenario::parse(text, &err);
-  ASSERT_TRUE(sc.has_value()) << err.message;
-  std::ostringstream with_flowset;
-  EXPECT_TRUE(sc->run(with_flowset));
-  sc->set_legacy_sources(true);
-  std::ostringstream with_legacy;
-  EXPECT_TRUE(sc->run(with_legacy));
-  EXPECT_EQ(with_flowset.str(), with_legacy.str());
-  EXPECT_NE(with_flowset.str().find("delivered="), std::string::npos);
 }
 
 TEST(ScenarioRun, MixedTcpRunAccountsPlainFlows) {

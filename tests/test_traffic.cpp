@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "backbone/fixtures.hpp"
 #include "qos/queues.hpp"
+#include "reference/legacy_source.hpp"
 #include "traffic/dispatcher.hpp"
 #include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
@@ -103,40 +105,47 @@ TEST(FlowDispatcher, RoutesByFlowIdWithDefault) {
   EXPECT_EQ(fallback, 2);
 }
 
-/// (packet id, emission instant) pairs observed at the destination CE, plus
-/// per-flow sent counts — everything a byte-identity comparison between the
-/// legacy Source path and the FlowSet engine needs. The packet id encodes
-/// (flow_id << 32) | seq, so equal logs mean equal flows, sequence numbers,
-/// emission instants and delivery order.
-struct MixResult {
-  std::vector<std::pair<std::uint64_t, sim::SimTime>> log;
-  std::vector<std::uint64_t> sent;
+/// One packet as the destination CE delivered it: identity, emission
+/// instant and the header fields the source wrote.
+struct Delivery {
+  std::uint64_t id = 0;
+  sim::SimTime created_at = 0;
+  std::uint8_t dscp = 0;
+  std::uint8_t protocol = 0;
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  std::size_t payload_bytes = 0;
+  vpn::VpnId vpn = 0;
+  bool operator==(const Delivery&) const = default;
 };
 
-/// Run `defs` (with `start` interpreted relative to convergence) on a fresh
-/// Figure-2 fixture for `run_s` seconds, via per-flow legacy sources or one
-/// FlowSet. All flows go site1 → site2 of VPN 1.
-MixResult run_mix(std::uint64_t seed,
-                  const std::vector<FlowSet::FlowDef>& defs, double run_s,
-                  bool legacy) {
-  Figure2Scenario s = make_figure2_scenario(seed);
-  s.backbone->start_and_converge();
-  qos::SlaProbe probe;
-  MixResult r;
-  s.v1_site2.ce->add_delivery_tap([&](const net::Packet& p, vpn::VpnId) {
-    r.log.emplace_back(p.id, p.created_at);
-  });
-  sim::Scheduler& sched = s.backbone->topo.scheduler();
-  const sim::SimTime t0 = sched.now();
-  const sim::SimTime stop = t0 + sim::from_seconds(run_s);
-  const auto src_host = ip::Ipv4Address::must_parse("10.1.0.1");
-  const auto dst_host = ip::Ipv4Address::must_parse("10.2.0.1");
-  if (legacy) {
-    std::vector<std::unique_ptr<Source>> srcs;
+/// Deliveries observed at the destination CE, plus per-flow sent counts and
+/// the SLA probe's rendered sent/delivered report — everything a
+/// byte-identity comparison between packet-emission engines needs. The
+/// packet id encodes (flow_id << 32) | seq, so equal logs mean equal flows,
+/// sequence numbers, emission instants, headers and delivery order.
+struct MixResult {
+  std::vector<Delivery> log;
+  std::vector<std::uint64_t> sent;
+  std::string sla;
+};
+
+/// How run_mix emits the flows: the reference per-flow Source engine
+/// (tests/reference), the production one-flow Source façades, or every
+/// flow in one lane FlowSet.
+enum class Engine { kReference, kFacade, kFlowSet };
+
+/// The reference and façade engines share one API under two namespaces.
+template <class Base, class Cbr, class Poisson, class OnOff>
+struct PerFlow {
+  static std::vector<std::uint64_t> run(
+      const Figure2Scenario& s, const std::vector<FlowSet::FlowDef>& defs,
+      qos::SlaProbe& probe, sim::SimTime t0, sim::SimTime stop) {
+    std::vector<std::unique_ptr<Base>> srcs;
     for (const FlowSet::FlowDef& d : defs) {
       FlowSpec f;
-      f.src = src_host;
-      f.dst = dst_host;
+      f.src = ip::Ipv4Address::must_parse("10.1.0.1");
+      f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
       f.src_port = d.src_port;
       f.dst_port = d.dst_port;
       f.protocol = d.protocol;
@@ -144,29 +153,67 @@ MixResult run_mix(std::uint64_t seed,
       f.vpn = s.vpn1;
       f.phb = d.phb;
       f.premark = d.premark;
+      vpn::Router& ce = *s.v1_site1.ce;
       switch (d.kind) {
         case FlowSet::Kind::kCbr:
-          srcs.push_back(std::make_unique<CbrSource>(
-              *s.v1_site1.ce, f, d.flow_id, &probe, d.rate_bps));
+          srcs.push_back(
+              std::make_unique<Cbr>(ce, f, d.flow_id, &probe, d.rate_bps));
           break;
         case FlowSet::Kind::kPoisson:
-          srcs.push_back(std::make_unique<PoissonSource>(
-              *s.v1_site1.ce, f, d.flow_id, &probe, d.rate_bps));
+          srcs.push_back(
+              std::make_unique<Poisson>(ce, f, d.flow_id, &probe, d.rate_bps));
           break;
         case FlowSet::Kind::kOnOff:
-          srcs.push_back(std::make_unique<OnOffSource>(
-              *s.v1_site1.ce, f, d.flow_id, &probe, d.rate_bps, d.on_s,
-              d.off_s));
+          srcs.push_back(std::make_unique<OnOff>(ce, f, d.flow_id, &probe,
+                                                 d.rate_bps, d.on_s, d.off_s));
           break;
       }
       srcs.back()->run(t0 + d.start, stop);
     }
     s.backbone->topo.run_until(stop + sim::kSecond);
-    for (const auto& src : srcs) r.sent.push_back(src->packets_sent());
+    std::vector<std::uint64_t> sent;
+    for (const auto& src : srcs) sent.push_back(src->packets_sent());
+    return sent;
+  }
+};
+using ReferenceFlows =
+    PerFlow<reference::Source, reference::CbrSource,
+            reference::PoissonSource, reference::OnOffSource>;
+using FacadeFlows = PerFlow<Source, CbrSource, PoissonSource, OnOffSource>;
+
+/// Run `defs` (with `start` interpreted relative to convergence) on a fresh
+/// Figure-2 fixture for `run_s` seconds through `engine`. All flows go
+/// site1 → site2 of VPN 1.
+MixResult run_mix(std::uint64_t seed,
+                  const std::vector<FlowSet::FlowDef>& defs, double run_s,
+                  Engine engine) {
+  Figure2Scenario s = make_figure2_scenario(seed);
+  s.backbone->start_and_converge();
+  qos::SlaProbe probe;
+  sim::Scheduler& sched = s.backbone->topo.scheduler();
+  MeasurementSink sink(probe, sched);
+  sink.bind(*s.v1_site2.ce);
+  for (const FlowSet::FlowDef& d : defs) {
+    sink.expect_flow(d.flow_id, d.phb, s.vpn1);
+  }
+  MixResult r;
+  s.v1_site2.ce->add_delivery_tap([&](const net::Packet& p, vpn::VpnId) {
+    r.log.push_back(Delivery{p.id, p.created_at, p.ip.dscp, p.ip.protocol,
+                             p.l4.src_port, p.l4.dst_port, p.payload_bytes,
+                             p.true_vpn_id});
+  });
+  const sim::SimTime t0 = sched.now();
+  const sim::SimTime stop = t0 + sim::from_seconds(run_s);
+  if (engine == Engine::kReference) {
+    r.sent = ReferenceFlows::run(s, defs, probe, t0, stop);
+  } else if (engine == Engine::kFacade) {
+    r.sent = FacadeFlows::run(s, defs, probe, t0, stop);
   } else {
     FlowSet fs(sched, &probe, s.backbone->topo.seed());
-    const std::uint32_t from = fs.add_site(*s.v1_site1.ce, src_host);
-    const std::uint32_t to = fs.add_site(*s.v1_site2.ce, dst_host);
+    const std::uint32_t from = fs.add_site(
+        *s.v1_site1.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+    const std::uint32_t to = fs.add_site(
+        *s.v1_site2.ce, ip::Ipv4Address::must_parse("10.2.0.1"));
     for (FlowSet::FlowDef d : defs) {
       d.from_site = from;
       d.to_site = to;
@@ -180,10 +227,23 @@ MixResult run_mix(std::uint64_t seed,
       r.sent.push_back(fs.packets_sent(row));
     }
   }
+  EXPECT_EQ(sink.leaks(), 0u);
+  EXPECT_EQ(sink.unknown_flows(), 0u);
+  r.sla = probe.to_csv(run_s);
   return r;
 }
 
-TEST(FlowSet, ByteIdenticalToLegacySourcesAcrossKinds) {
+/// The three engines must agree packet for packet, count for count, and on
+/// the SLA report the probe renders from them.
+void expect_identical(const MixResult& ref, const MixResult& other,
+                      const char* engine) {
+  EXPECT_EQ(ref.sent, other.sent) << engine;
+  ASSERT_EQ(ref.log.size(), other.log.size()) << engine;
+  EXPECT_TRUE(ref.log == other.log) << engine;
+  EXPECT_EQ(ref.sla, other.sla) << engine;
+}
+
+TEST(FlowSet, ByteIdenticalToReferenceSourcesAcrossKinds) {
   std::vector<FlowSet::FlowDef> defs(3);
   defs[0].flow_id = 1;
   defs[0].kind = FlowSet::Kind::kCbr;
@@ -205,19 +265,22 @@ TEST(FlowSet, ByteIdenticalToLegacySourcesAcrossKinds) {
   defs[2].dst_port = 5004;
   defs[2].start = sim::from_seconds(0.02);
 
-  const MixResult legacy = run_mix(7101, defs, 2.0, true);
-  const MixResult flowset = run_mix(7101, defs, 2.0, false);
-  EXPECT_EQ(legacy.sent, flowset.sent);
-  ASSERT_EQ(legacy.log.size(), flowset.log.size());
-  EXPECT_TRUE(legacy.log == flowset.log);
-  // Sanity: the comparison covered real traffic from every source kind.
-  EXPECT_GT(legacy.log.size(), 500u);
-  for (std::uint64_t sent : legacy.sent) EXPECT_GT(sent, 50u);
+  const MixResult ref = run_mix(7101, defs, 2.0, Engine::kReference);
+  expect_identical(ref, run_mix(7101, defs, 2.0, Engine::kFacade), "facade");
+  expect_identical(ref, run_mix(7101, defs, 2.0, Engine::kFlowSet),
+                   "flowset");
+  // Sanity: the comparison covered real traffic from every source kind, in
+  // every class the flows are accounted under.
+  EXPECT_GT(ref.log.size(), 500u);
+  for (std::uint64_t sent : ref.sent) EXPECT_GT(sent, 50u);
+  for (const char* cls : {"EF", "AF21", "BE"}) {
+    EXPECT_NE(ref.sla.find(cls), std::string::npos) << ref.sla;
+  }
 }
 
-TEST(FlowSet, OnOffResidueMatchesLegacyBurstBookkeeping) {
+TEST(FlowSet, OnOffResidueMatchesReferenceBurstBookkeeping) {
   // One on/off flow over enough sim time for hundreds of burst cycles: the
-  // SoA packets-remaining residue must reproduce the legacy
+  // SoA packets-remaining residue must reproduce the reference engine's
   // `burst_remaining_` time-residue arithmetic draw for draw — same RNG
   // consumption, same emission instants, same per-burst packet counts.
   std::vector<FlowSet::FlowDef> defs(1);
@@ -227,12 +290,39 @@ TEST(FlowSet, OnOffResidueMatchesLegacyBurstBookkeeping) {
   defs[0].on_s = 0.03;
   defs[0].off_s = 0.01;
 
-  const MixResult legacy = run_mix(7102, defs, 30.0, true);
-  const MixResult flowset = run_mix(7102, defs, 30.0, false);
-  EXPECT_EQ(legacy.sent, flowset.sent);
-  EXPECT_GT(legacy.sent.at(0), 5000u);  // many bursts, many residue cycles
-  ASSERT_EQ(legacy.log.size(), flowset.log.size());
-  EXPECT_TRUE(legacy.log == flowset.log);
+  const MixResult ref = run_mix(7102, defs, 30.0, Engine::kReference);
+  EXPECT_GT(ref.sent.at(0), 5000u);  // many bursts, many residue cycles
+  expect_identical(ref, run_mix(7102, defs, 30.0, Engine::kFacade), "facade");
+  expect_identical(ref, run_mix(7102, defs, 30.0, Engine::kFlowSet),
+                   "flowset");
+}
+
+TEST(CbrSource, DestroyedWhileRunningEmitsNothingMore) {
+  // The reference engine left a dangling [this] event behind a destroyed
+  // source; the façade's FlowSet cancels its armed event on destruction,
+  // so the scheduler keeps running without touching freed memory (ASan
+  // builds check the latter).
+  Figure2Scenario s = make_figure2_scenario(7104);
+  s.backbone->start_and_converge();
+  qos::SlaProbe probe;
+  MeasurementSink sink(probe, s.backbone->topo.scheduler());
+  sink.bind(*s.v1_site2.ce);
+  sink.expect_flow(1, qos::Phb::kBe, s.vpn1);
+  FlowSpec f;
+  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
+  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  f.vpn = s.vpn1;
+  const sim::SimTime t0 = s.backbone->topo.scheduler().now();
+  auto src = std::make_unique<CbrSource>(*s.v1_site1.ce, f, 1, &probe, 1e6);
+  src->run(t0, t0 + 2 * sim::kSecond);
+  s.backbone->topo.run_until(t0 + sim::kSecond / 2);
+  const std::uint64_t sent = src->packets_sent();
+  EXPECT_GT(sent, 100u);
+  src.reset();
+  s.backbone->topo.run_until(t0 + 4 * sim::kSecond);
+  EXPECT_EQ(probe.report(qos::Phb::kBe).sent_packets, sent);
+  // Packets already in flight when the source died still arrive.
+  EXPECT_EQ(sink.delivered(), sent);
 }
 
 TEST(FlowSet, StateStaysUnder64BytesPerFlow) {
