@@ -20,7 +20,6 @@
 #include "backbone/fixtures.hpp"
 #include "qos/queues.hpp"
 #include "stats/table.hpp"
-#include "traffic/dispatcher.hpp"
 #include "traffic/sink.hpp"
 #include "traffic/source.hpp"
 #include "traffic/tcp_lite.hpp"
@@ -179,12 +178,12 @@ ElasticResult run_elastic(bool diffserv_core, std::uint64_t seed) {
   classifier->add_rule(voice_rule);
   a.ce->set_classifier(std::move(classifier));
 
-  traffic::FlowDispatcher at_a;
-  traffic::FlowDispatcher at_b;
-  at_a.attach(*a.ce);
-  at_b.attach(*b.ce);
-
   qos::SlaProbe probe;
+  traffic::MeasurementSink at_a(probe, bb.topo.scheduler());
+  traffic::MeasurementSink at_b(probe, bb.topo.scheduler());
+  at_a.bind(*a.ce);
+  at_b.bind(*b.ce);
+
   traffic::FlowSpec voice;
   voice.src = ip::Ipv4Address::must_parse("10.1.0.1");
   voice.dst = ip::Ipv4Address::must_parse("10.2.0.1");
@@ -193,11 +192,7 @@ ElasticResult run_elastic(bool diffserv_core, std::uint64_t seed) {
   voice.vpn = v;
   voice.phb = qos::Phb::kEf;
   traffic::CbrSource voice_src(*a.ce, voice, 99, &probe, 400e3);
-  at_b.register_flow(99, [&](const net::Packet& p, vpn::VpnId) {
-    probe.record_delivered(qos::Phb::kEf, 99,
-                           bb.topo.scheduler().now() - p.created_at,
-                           p.payload_bytes + 28);
-  });
+  at_b.expect_flow(99, qos::Phb::kEf, v);
 
   // Two greedy elastic flows.
   traffic::TcpLiteFlow::Config tc;

@@ -742,11 +742,7 @@ ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
   const sim::SimTime t0 = bb.topo.base_scheduler().now();
   const std::uint64_t ev0 = bb.topo.base_scheduler().executed_count();
   if (fexp && runtime) {
-    auto next = std::make_shared<sim::SimTime>(t0 + scan_period);
-    runtime->add_periodic_action(*next, scan_period, [&, next] {
-      flow_scan(*next);
-      *next += scan_period;
-    });
+    runtime->add_periodic_action(t0 + scan_period, scan_period, flow_scan);
   }
   const auto wall0 = std::chrono::steady_clock::now();
   const sim::SimTime t_stop = t0 + sim::from_seconds(sim_seconds);

@@ -64,6 +64,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -113,10 +114,11 @@ int main(int argc, char** argv) {
   std::string scenario_path;
   std::string topogen_spec;
   std::string partition_profile_path;
-  unsigned long shards = 0;  // 0: use the scenario file's setting
-  int flowcache = -1;        // -1: use the scenario file's setting
-  int legacy_updates = -1;   // -1: use the scenario file's setting
-  int full_spf = -1;         // -1: use the scenario file's setting
+  // Overrides of the scenario's `run` settings; unset ones keep the file's.
+  unsigned long shards = 0;
+  bool no_flowcache = false;
+  bool legacy_updates = false;
+  bool full_spf = false;
   bool verbose = false;
   for (int i = 1; i < argc; ++i) {
     auto value = [&]() -> const char* {
@@ -183,11 +185,11 @@ int main(int argc, char** argv) {
       shards = std::strtoul(v, nullptr, 10);
       if (shards == 0 || shards > 64) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--no-flowcache") == 0) {
-      flowcache = 0;
+      no_flowcache = true;
     } else if (std::strcmp(argv[i], "--legacy-updates") == 0) {
-      legacy_updates = 1;
+      legacy_updates = true;
     } else if (std::strcmp(argv[i], "--full-spf") == 0) {
-      full_spf = 1;
+      full_spf = true;
     } else if (std::strcmp(argv[i], "--control-metrics") == 0) {
       obs.control_metrics = true;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
@@ -240,42 +242,41 @@ int main(int argc, char** argv) {
     }
     partition_weights = std::move(profile.node_weight);
   }
+  std::optional<mvpn::backbone::Scenario> scenario;
   if (!scenario_path.empty()) {
-    return mvpn::backbone::run_scenario_file(
-        scenario_path, std::cout, obs, static_cast<std::uint32_t>(shards),
-        flowcache, verbose, std::move(partition_weights), legacy_updates,
-        full_spf);
-  }
-
-  std::string text;
-  if (!topogen_spec.empty()) {
-    // Synthesize a two-line scenario from the spec; for= belongs on the
-    // run line, everything else on the topology line.
-    std::istringstream in(topogen_spec);
-    std::string token, topo_keys, run_keys;
-    while (in >> token) {
-      (token.rfind("for=", 0) == 0 ? run_keys : topo_keys) += " " + token;
-    }
-    if (run_keys.empty()) run_keys = " for=1";
-    text = "topology generated" + topo_keys + "\nrun" + run_keys + "\n";
+    scenario = mvpn::backbone::load_scenario_file(scenario_path, std::cout);
+    if (!scenario) return 2;
   } else {
-    std::printf("no scenario file given; running the built-in demo\n\n");
-    text = kDemo;
-  }
-  mvpn::backbone::ScenarioError error;
-  auto scenario = mvpn::backbone::Scenario::parse(text, &error);
-  if (!scenario) {
-    std::printf("parse error at line %zu: %s\n", error.line,
-                error.message.c_str());
-    return 2;
+    std::string text;
+    if (!topogen_spec.empty()) {
+      // Synthesize a two-line scenario from the spec; for= belongs on the
+      // run line, everything else on the topology line.
+      std::istringstream in(topogen_spec);
+      std::string token, topo_keys, run_keys;
+      while (in >> token) {
+        (token.rfind("for=", 0) == 0 ? run_keys : topo_keys) += " " + token;
+      }
+      if (run_keys.empty()) run_keys = " for=1";
+      text = "topology generated" + topo_keys + "\nrun" + run_keys + "\n";
+    } else {
+      std::printf("no scenario file given; running the built-in demo\n\n");
+      text = kDemo;
+    }
+    mvpn::backbone::ScenarioError error;
+    scenario = mvpn::backbone::Scenario::parse(text, &error);
+    if (!scenario) {
+      std::printf("parse error at line %zu: %s\n", error.line,
+                  error.message.c_str());
+      return 2;
+    }
   }
   scenario->set_obs(obs);
   if (shards != 0) {
     scenario->set_shards(static_cast<std::uint32_t>(shards));
   }
-  if (flowcache >= 0) scenario->set_flowcache(flowcache != 0);
-  if (legacy_updates >= 0) scenario->set_legacy_updates(legacy_updates != 0);
-  if (full_spf >= 0) scenario->set_full_spf(full_spf != 0);
+  if (no_flowcache) scenario->set_flowcache(false);
+  if (legacy_updates) scenario->set_legacy_updates(true);
+  if (full_spf) scenario->set_full_spf(true);
   scenario->set_verbose(verbose);
   scenario->set_partition_weights(std::move(partition_weights));
   return scenario->run(std::cout) ? 0 : 1;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -25,7 +26,6 @@
 #include "qos/queues.hpp"
 #include "qos/sla.hpp"
 #include "sim/rng.hpp"
-#include "traffic/dispatcher.hpp"
 #include "traffic/flowset.hpp"
 #include "traffic/tcp_lite.hpp"
 
@@ -319,11 +319,6 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
       auto prefix = ip::Prefix::parse(*v);
       if (!prefix) return fail(line_no, "bad prefix= " + *v);
       site.prefix = *prefix;
-      if (auto p = kv("pref")) {
-        std::size_t pref;
-        if (!to_size(*p, pref)) return fail(line_no, "bad pref=");
-        site.pref = static_cast<std::uint32_t>(pref);
-      }
       sc.sites_.push_back(site);
     } else if (line.directive == "classify") {
       ClassifyDecl c;
@@ -555,16 +550,113 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
   return sc;
 }
 
-bool Scenario::run(std::ostream& out) const {
-  BackboneConfig cfg = backbone_;
-  cfg.core_queue = queue_factory_for(core_queue_spec_);
-  MplsBackbone bb(cfg);
-  net::Topology& topo = bb.topo;
+namespace {
 
+/// A between-window action of the drive step. It fires at `at`,
+/// `at + period`, ...; each call sees every lane past all events before
+/// the instant and none at or after it.
+struct PeriodicAction {
+  sim::SimTime at = 0;  ///< next instant; advances as the action fires
+  sim::SimTime period = 0;
+  std::function<void(sim::SimTime at)> fn;
+};
+
+/// One engine lane (the serial scheduler, or one shard's) with the lane's
+/// halves of the run's observers. A flow is accounted where its events
+/// execute: sent-side on its source CE's lane, delivery-side on its
+/// destination CE's.
+struct Lane {
+  sim::Scheduler* sched = nullptr;
+  qos::SlaProbe* probe = nullptr;  ///< the report probe on a one-lane run
+  obs::LatencyCollector* latency = nullptr;
+  std::unique_ptr<qos::SlaProbe> own_probe;
+  std::unique_ptr<traffic::MeasurementSink> sink;  ///< its CEs' local sink
+  std::unique_ptr<traffic::FlowSet> flows;
+  std::unique_ptr<obs::FlowStatsTable> flow_table;  ///< flow records only
+};
+
+ip::Ipv4Address host_of(const MplsBackbone::Site& site) {
+  return ip::Ipv4Address(site.prefix.address().value() + 1);
+}
+
+}  // namespace
+
+/// Scenario::run's steps, in call order: build the network, build the
+/// engine lanes, arm the flows on them, attach the observers, drive,
+/// report. build_lanes() is the only step that knows whether the run is
+/// serial or sharded. It leaves one lane per shard (one lane on the serial
+/// scheduler) and three engine hooks, so every later step is the same code
+/// for both engines.
+struct Scenario::Run {
+  Run(const Scenario& scenario, std::ostream& os);
+
+  void build();
+  void build_lanes();
+  /// Parts of build_lanes(): the shard plan and runtime (none for one
+  /// lane), then the engine hooks and per-lane table/profiler wiring.
+  void partition();
+  void install_engine_hooks();
+  void arm_flows();
+  void attach_observers();
+  void drive();
+  bool report();
+
+  /// Fold the lanes' probes and latency collectors into the report's. A
+  /// one-lane run records into the report's directly and folds nothing.
+  void fold_lanes();
+  /// Cut flow records at `at`. One lane cuts them straight out of its table
+  /// (the accumulations never leave their slots); more lanes first fold the
+  /// per-lane halves of each flow together.
+  void flow_scan(sim::SimTime at);
+
+  const Scenario& sc;
+  const ObsOptions& opt;
+  std::ostream& out;
+  MplsBackbone bb;
+  net::Topology& topo;
+  std::map<std::string, vpn::VpnId> vpn_ids;
+  std::vector<MplsBackbone::Site> sites;  ///< indexed like sc.sites_
+  qos::SlaProbe probe{"scenario"};        ///< the report's SLA table
+  obs::LatencyCollector latency;          ///< the report's decomposition
+  std::unique_ptr<obs::SyncProfiler> sync_prof;
+
+  // Set by build_lanes().
+  std::unique_ptr<net::ShardRuntime> runtime;  ///< null on the serial engine
+  std::vector<Lane> lanes;
+  std::vector<std::uint32_t> site_lane;  ///< lane of each site's CE
+  /// Run every lane to `until`, firing `acts` between windows.
+  std::function<void(std::vector<PeriodicAction>& acts, sim::SimTime until)>
+      advance;
+  std::function<void(obs::MetricsRegistry&)> register_engine_metrics;
+  /// Fold the lanes a last time and restore the serial topology view.
+  /// Returns the engine's part of the report's first line.
+  std::function<std::string()> finish_engine;
+
+  sim::SimTime t0 = 0;  ///< traffic start: the converged instant
+  std::vector<std::unique_ptr<traffic::TcpLiteFlow>> tcp_flows;
+  std::unique_ptr<obs::FlowExporter> flow_exporter;
+  obs::MetricsRegistry registry;
+  std::optional<obs::PeriodicSnapshots> snapshots;
+  std::vector<PeriodicAction> actions;  ///< flow scans, then snapshots
+  std::string engine_summary;
+};
+
+Scenario::Run::Run(const Scenario& scenario, std::ostream& os)
+    : sc(scenario),
+      opt(scenario.obs_),
+      out(os),
+      bb([&scenario] {
+        BackboneConfig cfg = scenario.backbone_;
+        cfg.core_queue = queue_factory_for(scenario.core_queue_spec_);
+        return cfg;
+      }()),
+      topo(bb.topo) {}
+
+void Scenario::Run::build() {
   // Control-plane A/B switches, applied before any protocol starts so the
   // whole convergence runs in the selected mode.
-  bb.bgp.set_packing(!legacy_updates_);
-  bb.igp.set_full_spf(full_spf_);
+  bb.bgp.set_packing(!sc.legacy_updates_);
+  bb.igp.set_full_spf(sc.full_spf_);
 
   // "red" core spec: swap RED onto the core directions while the links are
   // still idle. The clock reads through the topology's ambient scheduler
@@ -572,7 +664,7 @@ bool Scenario::run(std::ostream& out) const {
   // worker services the queue), and each direction's RNG is seeded from
   // (topology seed, transmitting node, link) so drop decisions never
   // depend on draw order across queues.
-  if (auto rp = red_params_for(core_queue_spec_, cfg.core_bw_bps)) {
+  if (auto rp = red_params_for(sc.core_queue_spec_, sc.backbone_.core_bw_bps)) {
     std::vector<bool> core_node(topo.node_count(), false);
     for (const auto* p : bb.ps()) core_node[p->id()] = true;
     for (const auto* pe : bb.pes()) core_node[pe->id()] = true;
@@ -583,12 +675,11 @@ bool Scenario::run(std::ostream& out) const {
       }
       for (const ip::NodeId from : {link.end_a().node, link.end_b().node}) {
         link.set_queue_from(
-            from,
-            std::make_unique<qos::RedQueueDisc>(
-                *rp, [&topo] { return topo.scheduler().now(); },
-                sim::Rng::stream(
-                    topo.seed(),
-                    0x52ED0000ULL + (std::uint64_t{from} << 20) + l)));
+            from, std::make_unique<qos::RedQueueDisc>(
+                      *rp, [this] { return topo.scheduler().now(); },
+                      sim::Rng::stream(
+                          topo.seed(),
+                          0x52ED0000ULL + (std::uint64_t{from} << 20) + l)));
       }
     }
   }
@@ -596,33 +687,22 @@ bool Scenario::run(std::ostream& out) const {
   // Arm the flight recorder before convergence so control-plane events
   // (LDP mappings, LSP signaling) land in the trace alongside the data
   // plane.
-  if (obs_.enabled()) {
-    if (obs_.ring_capacity != 0) {
-      bb.topo.recorder().set_capacity(obs_.ring_capacity);
-    }
-    bb.topo.recorder().enable(obs_.trace_mask);
+  if (opt.enabled()) {
+    if (opt.ring_capacity != 0) topo.recorder().set_capacity(opt.ring_capacity);
+    topo.recorder().enable(opt.trace_mask);
   }
 
-  std::map<std::string, vpn::VpnId> vpn_ids;
-  for (const auto& name : vpns_) {
-    vpn_ids[name] = bb.service.create_vpn(name);
+  for (const auto& name : sc.vpns_) vpn_ids[name] = bb.service.create_vpn(name);
+  for (const auto& [importer, exported] : sc.extranets_) {
+    bb.service.add_extranet_import(vpn_ids.at(importer), vpn_ids.at(exported));
   }
-  for (const auto& [importer, exported] : extranets_) {
-    bb.service.add_extranet_import(vpn_ids.at(importer),
-                                   vpn_ids.at(exported));
-  }
-  std::vector<MplsBackbone::Site> built;
-  for (const auto& s : sites_) {
-    // add_site has no pref parameter on the fixture; attach manually for
-    // preference-carrying sites via the service.
-    auto site = bb.add_site(vpn_ids.at(s.vpn), s.pe, s.prefix);
-    built.push_back(site);
-    (void)s.pref;  // single-homed declarations: pref is a tie-break no-op
+  for (const auto& s : sc.sites_) {
+    sites.push_back(bb.add_site(vpn_ids.at(s.vpn), s.pe, s.prefix));
   }
 
   // flowcache=off: force every router (P, PE, CE) onto the slow path so
   // A/B runs can verify the fastpath changes nothing but speed.
-  if (!flowcache_) {
+  if (!sc.flowcache_) {
     for (std::size_t i = 0; i < topo.node_count(); ++i) {
       if (auto* r = dynamic_cast<vpn::Router*>(
               &topo.node(static_cast<ip::NodeId>(i)))) {
@@ -633,8 +713,8 @@ bool Scenario::run(std::ostream& out) const {
 
   bb.start_and_converge();
 
-  for (const auto& c : classifies_) {
-    vpn::Router& ce = *built[c.site].ce;
+  for (const auto& c : sc.classifies_) {
+    vpn::Router& ce = *sites[c.site].ce;
     if (ce.classifier() == nullptr) {
       ce.set_classifier(std::make_unique<qos::CbqClassifier>());
     }
@@ -643,34 +723,22 @@ bool Scenario::run(std::ostream& out) const {
     rule.mark = c.phb;
     ce.classifier()->add_rule(rule);
   }
-  for (const auto& p : polices_) {
-    built[p.site].ce->add_policer(p.phb, p.cir, p.cbs, p.ebs);
+  for (const auto& p : sc.polices_) {
+    sites[p.site].ce->add_policer(p.phb, p.cir, p.cbs, p.ebs);
   }
-  for (const auto& s : shapes_) {
-    built[s.site].ce->add_shaper(s.phb, s.rate, s.burst);
+  for (const auto& s : sc.shapes_) {
+    sites[s.site].ce->add_shaper(s.phb, s.rate, s.burst);
   }
-
-  // TCP flows need a dispatcher on each endpoint; the measurement sink
-  // handles everything the dispatchers do not claim. They also pin the run
-  // to the serial engine: TCP-lite shares congestion state across its two
-  // endpoint CEs, which may land on different shards.
-  const bool any_tcp =
-      std::any_of(flows_.begin(), flows_.end(),
-                  [](const FlowDecl& f) { return f.kind == "tcp"; });
-
-  qos::SlaProbe probe("scenario");
-  traffic::MeasurementSink sink(probe, topo.scheduler());
 
   // Per-hop delay decomposition: links/routers stamp DelayAnatomy always;
   // the collector aggregates only when one of the latency outputs is on.
-  // The tap reads through the ambient accessor so a sharded run records
-  // into the delivering shard's collector (merged into `latency` between
-  // windows), and a serial run into `latency` directly.
-  obs::LatencyCollector latency;
-  if (obs_.latency_enabled()) {
+  // It is installed before the lanes are built so a sharded run gives each
+  // shard its own collector; the tap reads through the ambient accessor,
+  // so it records into the delivering lane's.
+  if (opt.latency_enabled()) {
     topo.set_latency_collector(&latency);
-    for (const auto& site : built) {
-      site.ce->add_delivery_tap([&topo](const net::Packet& p, vpn::VpnId) {
+    for (const auto& site : sites) {
+      site.ce->add_delivery_tap([this](const net::Packet& p, vpn::VpnId) {
         if (obs::LatencyCollector* lc = topo.latency_collector()) {
           lc->record_delivery(p.trace_class(), p.delay.queue, p.delay.tx,
                               p.delay.prop, p.delay.proc);
@@ -678,22 +746,33 @@ bool Scenario::run(std::ostream& out) const {
       });
     }
   }
+}
 
-  // Parallel engine: partition the converged topology and bring up the
-  // shard runtime. Everything before this point ran serially; everything
-  // after it that touches the topology from the coordinator thread still
-  // resolves to the serial objects (sim::current_shard() is kNoShard).
-  std::unique_ptr<net::ShardRuntime> runtime;
-  if (shards_ > 1 && !any_tcp) {
-    ShardPlan plan = compute_shard_plan(topo, shards_, partition_weights_);
-    if (verbose_) {
-      report_shard_plan(plan, topo, std::cerr, partition_weights_);
+void Scenario::Run::partition() {
+  // TCP-lite's congestion state spans both endpoint CEs, which may land on
+  // different shards, so tcp flows pin the run to one lane.
+  const bool any_tcp =
+      std::any_of(sc.flows_.begin(), sc.flows_.end(),
+                  [](const FlowDecl& f) { return f.kind == "tcp"; });
+  const std::uint32_t shards = any_tcp ? 1 : sc.shards_;
+  if (shards < sc.shards_) {
+    out << "shards=" << sc.shards_
+        << " requested; tcp flows pin the run to the serial engine\n";
+  }
+  // Partition the converged topology. Everything before this point ran
+  // serially; afterwards, coordinator-thread code that touches the
+  // topology still resolves to the serial objects (sim::current_shard()
+  // is kNoShard).
+  if (shards > 1) {
+    ShardPlan plan = compute_shard_plan(topo, shards, sc.partition_weights_);
+    if (sc.verbose_) {
+      report_shard_plan(plan, topo, std::cerr, sc.partition_weights_);
       if (plan.parallel()) {
         // Flow balance: the partitioner only sees topology, so report how
         // the declared traffic sources actually land on the shards.
         std::vector<std::size_t> srcs(plan.shard_count, 0);
-        for (const auto& f : flows_) {
-          ++srcs[plan.node_shard[built[f.from].ce->id()]];
+        for (const auto& f : sc.flows_) {
+          ++srcs[plan.node_shard[sites[f.from].ce->id()]];
         }
         for (std::uint32_t s = 0; s < plan.shard_count; ++s) {
           std::cerr << "partition: shard " << s << ": " << srcs[s]
@@ -705,242 +784,167 @@ bool Scenario::run(std::ostream& out) const {
       runtime = std::make_unique<net::ShardRuntime>(
           topo, std::move(plan.node_shard), plan.shard_count, plan.lookahead);
     }
-  } else if (shards_ > 1 && any_tcp) {
-    out << "shards=" << shards_
-        << " requested; tcp flows pin the run to the serial engine\n";
+  }
+}
+
+void Scenario::Run::build_lanes() {
+  partition();
+  // Size the flow tables for the declared flow population: at <= 50% load
+  // the probe window practically never fills, so the spill path stays off
+  // the hot path.
+  const std::size_t flow_slots =
+      std::max(obs::FlowStatsTable::kDefaultSlots, 2 * sc.flows_.size());
+  lanes.resize(runtime ? runtime->shard_count() : 1);
+  for (std::uint32_t l = 0; l < lanes.size(); ++l) {
+    Lane& lane = lanes[l];
+    lane.sched = runtime ? &runtime->shard_scheduler(l) : &topo.scheduler();
+    lane.probe = &probe;
+    lane.latency = &latency;
+    if (runtime) {
+      lane.own_probe = std::make_unique<qos::SlaProbe>(
+          std::string("shard").append(std::to_string(l)));
+      lane.probe = lane.own_probe.get();
+      lane.latency = &runtime->shard_latency(l);
+    }
+    lane.sink =
+        std::make_unique<traffic::MeasurementSink>(*lane.probe, *lane.sched);
+    // Every site is registered on every lane so FlowSet site indices are
+    // scenario site indices (a destination's lane only matters for its
+    // deliveries; the source lane reads just its host address).
+    lane.flows = std::make_unique<traffic::FlowSet>(*lane.sched, lane.probe,
+                                                    topo.seed());
+    for (const auto& site : sites) {
+      lane.flows->add_site(*site.ce, host_of(site));
+    }
+    if (opt.flow_enabled()) {
+      lane.flow_table =
+          std::make_unique<obs::FlowStatsTable>(lane.sched, flow_slots);
+    }
+  }
+  for (const auto& site : sites) {
+    site_lane.push_back(runtime ? topo.shard_of(site.ce->id()) : 0);
+    lanes[site_lane.back()].sink->bind(*site.ce);
+  }
+  // Engine sync telemetry: per-epoch phase timings and load-imbalance
+  // attribution; a serial run gets a one-lane report, so profiled passes
+  // always emit the same JSON shape.
+  if (opt.sync_enabled()) {
+    sync_prof = std::make_unique<obs::SyncProfiler>(
+        static_cast<std::uint32_t>(lanes.size()));
   }
 
-  // Engine sync telemetry: per-epoch phase timings + load-imbalance
-  // attribution. Serial runs get a one-lane serial report so profiled
-  // bench passes always emit the same JSON shape.
-  std::unique_ptr<obs::SyncProfiler> sync_prof;
-  if (obs_.sync_enabled()) {
-    sync_prof = std::make_unique<obs::SyncProfiler>(
-        runtime ? runtime->shard_count() : 1);
-    if (runtime) {
-      // The profiler layer cannot see routers; sample the per-shard flow
-      // caches here, where both the topology and the shard map are known.
-      auto by_shard = std::make_shared<
-          std::vector<std::vector<const vpn::Router*>>>(
-          runtime->shard_count());
-      for (std::size_t i = 0; i < topo.node_count(); ++i) {
-        const auto id = static_cast<ip::NodeId>(i);
-        if (const auto* r = dynamic_cast<const vpn::Router*>(&topo.node(id))) {
-          (*by_shard)[topo.shard_of(id)].push_back(r);
+  install_engine_hooks();
+}
+
+void Scenario::Run::install_engine_hooks() {
+  if (!runtime) {
+    if (opt.flow_enabled()) topo.set_flow_stats(lanes[0].flow_table.get());
+    // Run every event strictly before an action instant, fire the actions
+    // due then in registration order, continue: the edge the sharded
+    // engine's between-window actions ride, so both engines cut identical
+    // flow records and snapshots.
+    advance = [this](std::vector<PeriodicAction>& acts, sim::SimTime until) {
+      const std::uint64_t ev0 = topo.base_scheduler().executed_count();
+      const auto w0 = std::chrono::steady_clock::now();
+      for (;;) {
+        sim::SimTime at = until + 1;
+        for (const PeriodicAction& a : acts) at = std::min(at, a.at);
+        if (at > until) break;
+        topo.run_until(at - 1);
+        for (PeriodicAction& a : acts) {
+          for (; a.at <= at; a.at += a.period) a.fn(a.at);
         }
       }
-      sync_prof->set_cache_sampler(
-          [by_shard](std::uint32_t shard, std::uint64_t& hits,
-                     std::uint64_t& misses) {
-            for (const vpn::Router* r : (*by_shard)[shard]) {
-              const vpn::Router::FlowCacheStats fc = r->flowcache_stats();
-              hits += fc.hits;
-              misses += fc.misses;
-            }
-          });
-      runtime->set_profiler(sync_prof.get());
-    }
+      topo.run_until(until);
+      if (sync_prof) {
+        sync_prof->record_serial(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - w0)
+                    .count()),
+            topo.base_scheduler().executed_count() - ev0);
+      }
+    };
+    register_engine_metrics = [](obs::MetricsRegistry&) {};
+    finish_engine = [] { return std::string(); };
+    return;
   }
 
-  // Per-shard SLA observers: each flow's sent-side counters accumulate in
-  // the source CE's shard, delivery-side in the destination CE's shard;
-  // merge_shard_observers folds them into `probe`/`latency` (whose
-  // addresses the metric gauges captured) at every snapshot and at the end.
-  std::vector<std::unique_ptr<qos::SlaProbe>> shard_probes;
-  std::vector<std::unique_ptr<traffic::MeasurementSink>> shard_sinks;
-  if (runtime) {
-    for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-      shard_probes.push_back(
-          std::make_unique<qos::SlaProbe>("shard" + std::to_string(s)));
-      shard_sinks.push_back(std::make_unique<traffic::MeasurementSink>(
-          *shard_probes.back(), runtime->shard_scheduler(s)));
-    }
+  if (opt.flow_enabled()) {
+    std::vector<obs::FlowStatsTable*> tables;
+    for (Lane& lane : lanes) tables.push_back(lane.flow_table.get());
+    runtime->set_flow_stats(std::move(tables));
   }
-  auto sink_at = [&](std::size_t site) -> traffic::MeasurementSink& {
-    if (!runtime) return sink;
-    return *shard_sinks[topo.shard_of(built[site].ce->id())];
-  };
-  auto merge_shard_observers = [&] {
-    probe = qos::SlaProbe("scenario");
-    for (const auto& sp : shard_probes) probe.merge_from(*sp);
-    if (obs_.latency_enabled()) {
-      latency.reset();
-      for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-        latency.merge_from(runtime->shard_latency(s));
+  if (sync_prof) {
+    // The profiler layer cannot see routers; sample the per-shard flow
+    // caches here, where both the topology and the shard map are known.
+    auto by_shard =
+        std::make_shared<std::vector<std::vector<const vpn::Router*>>>(
+            lanes.size());
+    for (std::size_t i = 0; i < topo.node_count(); ++i) {
+      const auto id = static_cast<ip::NodeId>(i);
+      if (const auto* r = dynamic_cast<const vpn::Router*>(&topo.node(id))) {
+        (*by_shard)[topo.shard_of(id)].push_back(r);
       }
     }
-  };
-
-  // Per-flow telemetry plane: one accounting table per engine lane (the
-  // serial scheduler, or each shard's), drained into the exporter at exact
-  // scan instants. The sharded driver is a between-window periodic action
-  // (every shard rests past all events before the instant, none at or
-  // after); the serial driver reproduces that same edge by chunking the
-  // run, so the record stream is byte-identical across shard counts. It
-  // must register before the metrics action below so coincident instants
-  // scan first in both modes.
-  std::unique_ptr<obs::FlowExporter> flow_exporter;
-  std::vector<std::unique_ptr<obs::FlowStatsTable>> flow_tables;
-  sim::SimTime flow_scan_period = 0;
-  auto flow_scan = [&](sim::SimTime at) {
-    // Single-lane runs cut records straight out of the table (the
-    // accumulations never leave their slots); sharded runs must fold the
-    // per-shard halves of each flow together first.
-    if (flow_tables.size() == 1) {
-      flow_exporter->scan_table(*flow_tables.front(), at);
-      return;
-    }
-    for (auto& ft : flow_tables) flow_exporter->merge_table(*ft);
-    flow_exporter->scan(at);
-  };
-  if (obs_.flow_enabled()) {
-    obs::FlowExporter::Options fopt;
-    fopt.active_timeout = sim::from_seconds(obs_.flow_active_timeout_s);
-    fopt.idle_timeout = sim::from_seconds(obs_.flow_idle_timeout_s);
-    flow_exporter = std::make_unique<obs::FlowExporter>(fopt);
-    if (obs_.flow_scan_period_s > 0) {
-      flow_scan_period = sim::from_seconds(obs_.flow_scan_period_s);
-    }
-    // Size the tables for the declared flow population: at <= 50% load the
-    // probe window practically never fills, so the spill path stays off
-    // the hot path (and a serial run keeps the table-resident fastpath).
-    const std::size_t flow_slots =
-        std::max(obs::FlowStatsTable::kDefaultSlots, 2 * flows_.size());
-    if (runtime) {
-      std::vector<obs::FlowStatsTable*> ptrs;
-      for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-        flow_tables.push_back(std::make_unique<obs::FlowStatsTable>(
-            &runtime->shard_scheduler(s), flow_slots));
-        ptrs.push_back(flow_tables.back().get());
+    sync_prof->set_cache_sampler([by_shard](std::uint32_t shard,
+                                            std::uint64_t& hits,
+                                            std::uint64_t& misses) {
+      for (const vpn::Router* r : (*by_shard)[shard]) {
+        const vpn::Router::FlowCacheStats fc = r->flowcache_stats();
+        hits += fc.hits;
+        misses += fc.misses;
       }
-      runtime->set_flow_stats(std::move(ptrs));
-      if (flow_scan_period > 0) {
-        // The action has no instant parameter; track it alongside.
-        auto next = std::make_shared<sim::SimTime>(
-            topo.base_scheduler().now() + flow_scan_period);
-        runtime->add_periodic_action(*next, flow_scan_period, [&, next] {
-          flow_scan(*next);
-          *next += flow_scan_period;
-        });
-      }
-    } else {
-      flow_tables.push_back(std::make_unique<obs::FlowStatsTable>(
-          &topo.base_scheduler(), flow_slots));
-      topo.set_flow_stats(flow_tables.front().get());
-    }
+    });
+    runtime->set_profiler(sync_prof.get());
   }
-
-  obs::MetricsRegistry registry;
-  std::optional<obs::PeriodicSnapshots> snapshots;
-  if (obs_.enabled() && !obs_.metrics_json_path.empty()) {
-    obs::register_topology_metrics(topo, registry);
-    register_sla_metrics(registry, probe);
-    obs::register_latency_metrics(latency, registry, cs_class_namer());
-    if (obs_.engine_metrics && runtime) {
-      obs::register_engine_metrics(*runtime, registry);
-      if (sync_prof) obs::register_sync_metrics(*sync_prof, registry);
+  advance = [this](std::vector<PeriodicAction>& acts, sim::SimTime until) {
+    for (PeriodicAction& a : acts) {
+      runtime->add_periodic_action(a.at, a.period, a.fn);
     }
-    if (obs_.control_metrics) {
-      obs::register_control_metrics(bb.cp, bb.bgp, bb.igp, registry);
-    }
-    if (obs_.engine_metrics && flow_exporter) {
-      std::vector<obs::FlowStatsTable*> tptrs;
-      tptrs.reserve(flow_tables.size());
-      for (const auto& ft : flow_tables) tptrs.push_back(ft.get());
-      obs::register_flow_metrics(*flow_exporter, tptrs, registry);
-    }
-    snapshots.emplace(registry, topo.base_scheduler());
-    const sim::SimTime period = sim::from_seconds(obs_.snapshot_period_s);
-    if (runtime) {
-      // Same capture instants as PeriodicSnapshots::start() (first one a
-      // full period in), but as a between-window global action: all shards
-      // rest at the capture time, and the fold below makes the serial
-      // observers the gauges read consistent before each sample.
-      runtime->add_periodic_action(topo.base_scheduler().now() + period,
-                                   period, [&] {
-                                     merge_shard_observers();
-                                     snapshots->capture();
-                                   });
-    } else {
-      snapshots->start(period);
-    }
-  }
-
-  std::map<std::size_t, std::unique_ptr<traffic::FlowDispatcher>> dispatch;
-  auto dispatcher_for = [&](std::size_t site) -> traffic::FlowDispatcher& {
-    auto& d = dispatch[site];
-    if (!d) {
-      d = std::make_unique<traffic::FlowDispatcher>();
-      d->attach(*built[site].ce);
-    }
-    return *d;
+    runtime->run_until(until);
   };
-  if (any_tcp) {
-    for (std::size_t s = 0; s < built.size(); ++s) {
-      dispatcher_for(s).set_default(
-          [&sink](const net::Packet& p, vpn::VpnId vpn) {
-            // A delivery neither a TCP endpoint nor a measured-flow handler
-            // claimed. Account it in the sink — it surfaces in the final
-            // delivered/leaks/unknown line (and fails the run when nonzero)
-            // instead of vanishing from the SLA accounting.
-            sink.on_delivery(p, vpn);
-          });
-    }
-  } else {
-    for (std::size_t s = 0; s < built.size(); ++s) {
-      sink_at(s).bind(*built[s].ce);
-    }
-  }
-
-  std::vector<std::unique_ptr<traffic::TcpLiteFlow>> tcp_flows;
-  // One SoA FlowSet per engine lane (the serial scheduler, or each
-  // shard's) holding every cbr/poisson/onoff flow whose source CE lives on
-  // that lane. Null when the CE has no lane (not mapped to a shard).
-  std::vector<std::unique_ptr<traffic::FlowSet>> flowsets(
-      runtime ? runtime->shard_count() : 1);
-  auto flowset_at = [&](std::size_t site) -> traffic::FlowSet* {
-    const std::uint32_t lane =
-        runtime ? topo.shard_of(built[site].ce->id()) : 0;
-    if (lane >= flowsets.size()) return nullptr;
-    auto& fs = flowsets[lane];
-    if (!fs) {
-      fs = std::make_unique<traffic::FlowSet>(
-          runtime ? runtime->shard_scheduler(lane) : topo.scheduler(),
-          runtime ? shard_probes[lane].get() : &probe, topo.seed());
-      // Register every site up front so FlowSet site indices coincide with
-      // scenario site indices on all lanes (destinations may live on other
-      // shards; only their host address is read).
-      for (const auto& sb : built) {
-        fs->add_site(*sb.ce, ip::Ipv4Address(sb.prefix.address().value() + 1));
-      }
-    }
-    return fs.get();
+  register_engine_metrics = [this](obs::MetricsRegistry& reg) {
+    obs::register_engine_metrics(*runtime, reg);
+    if (sync_prof) obs::register_sync_metrics(*sync_prof, reg);
   };
-  std::uint32_t flow_id = 1;
-  const sim::SimTime t0 = bb.topo.scheduler().now();
-  for (const auto& f : flows_) {
-    vpn::Router& ce = *built[f.from].ce;
+  // finish() merges the shard trace rings into the master recorder and
+  // restores the serial view before any report reads the topology.
+  finish_engine = [this] {
+    fold_lanes();
+    std::ostringstream s;
+    s << " on " << runtime->shard_count() << " shards (lookahead "
+      << sim::to_seconds(runtime->lookahead()) * 1e6 << " us, "
+      << runtime->windows() << " windows, " << runtime->widened_windows()
+      << " widened, " << runtime->handoffs() << " cross-shard handoffs, "
+      << runtime->delivery_batches() << " batched deliveries)";
+    runtime->finish();
+    return s.str();
+  };
+}
+
+void Scenario::Run::arm_flows() {
+  t0 = topo.scheduler().now();
+  const sim::SimTime stop = t0 + sim::from_seconds(sc.run_for_s_);
+  std::uint32_t flow_id = 0;
+  for (const auto& f : sc.flows_) {
+    ++flow_id;
+    Lane& src = lanes[site_lane[f.from]];
+    Lane& dst = lanes[site_lane[f.to]];
+    const vpn::VpnId vpn = vpn_ids.at(f.vpn);
     if (f.kind == "tcp") {
       traffic::TcpLiteFlow::Config tc;
-      tc.src = ip::Ipv4Address(built[f.from].prefix.address().value() + 1);
-      tc.dst = ip::Ipv4Address(built[f.to].prefix.address().value() + 1);
+      tc.src = host_of(sites[f.from]);
+      tc.dst = host_of(sites[f.to]);
       tc.dst_port = f.port;
       tc.mss_payload = f.size;
-      tc.vpn = vpn_ids.at(f.vpn);
+      tc.vpn = vpn;
       tc.phb = f.phb;
       tc.premark = f.premark;
       tcp_flows.push_back(std::make_unique<traffic::TcpLiteFlow>(
-          ce, dispatcher_for(f.from), *built[f.to].ce,
-          dispatcher_for(f.to), flow_id, tc));
-      ++flow_id;
+          *sites[f.from].ce, *src.sink, *sites[f.to].ce, *dst.sink, flow_id,
+          tc));
       continue;
-    }
-    const vpn::VpnId flow_vpn = vpn_ids.at(f.vpn);
-    traffic::FlowSet* fs = flowset_at(f.from);
-    if (fs == nullptr) {
-      out << "flow " << flow_id << ": source site " << f.from
-          << " is not mapped to any engine lane\n";
-      return false;
     }
     traffic::FlowSet::FlowDef d;
     d.flow_id = flow_id;
@@ -952,152 +956,140 @@ bool Scenario::run(std::ostream& out) const {
     d.rate_bps = f.rate;
     d.on_s = f.on_s;
     d.off_s = f.off_s;
-    d.vpn = flow_vpn;
+    d.vpn = vpn;
     d.phb = f.phb;
     d.premark = f.premark;
     d.dst_port = f.port;
     d.payload_bytes = static_cast<std::uint32_t>(f.size);
     d.start = t0 + sim::from_seconds(f.start_s);
-    fs->add_flow(d);
-    // When dispatchers own the sinks, route measured flows through them.
-    if (any_tcp) {
-      dispatcher_for(f.to).register_flow(
-          flow_id, [&probe, phb = f.phb, &bb](const net::Packet& p,
-                                              vpn::VpnId) {
-            probe.record_delivered(phb, p.flow_id,
-                                   bb.topo.scheduler().now() - p.created_at,
-                                   net::kIpv4HeaderBytes +
-                                       net::kL4HeaderBytes +
-                                       p.payload_bytes);
-          });
-    } else {
-      sink_at(f.to).expect_flow(flow_id, f.phb, flow_vpn);
-    }
-    ++flow_id;
+    src.flows->add_flow(d);
+    dst.sink->expect_flow(flow_id, f.phb, vpn);
   }
-
-  for (auto& fs : flowsets) {
-    if (fs) fs->run(t0 + sim::from_seconds(run_for_s_));
-  }
+  for (Lane& lane : lanes) lane.flows->run(stop);
   for (auto& t : tcp_flows) {
     t->start(t0);
-    bb.topo.scheduler().schedule_at(t0 + sim::from_seconds(run_for_s_),
-                                    [flow = t.get()] { flow->stop(); });
+    topo.scheduler().schedule_at(stop, [flow = t.get()] { flow->stop(); });
   }
-  const sim::SimTime t_end = t0 + sim::from_seconds(run_for_s_ + 2.0);
-  // Serial runs with the flow exporter armed advance in scan-sized chunks:
-  // run every event strictly before the scan instant, scan, continue. This
-  // reproduces the edge the sharded periodic action rides, so the two
-  // engines cut identical record streams.
-  auto serial_run = [&](sim::SimTime until) {
-    if (flow_exporter && flow_scan_period > 0) {
-      for (sim::SimTime at = t0 + flow_scan_period; at <= until;
-           at += flow_scan_period) {
-        topo.run_until(at - 1);
-        flow_scan(at);
-      }
-    }
-    topo.run_until(until);
-  };
-  if (runtime) {
-    runtime->run_until(t_end);
-  } else if (sync_prof) {
-    const std::uint64_t ev0 = topo.base_scheduler().executed_count();
-    const auto w0 = std::chrono::steady_clock::now();
-    serial_run(t_end);
-    sync_prof->record_serial(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - w0)
-                .count()),
-        topo.base_scheduler().executed_count() - ev0);
-  } else {
-    serial_run(t_end);
-  }
+}
 
+void Scenario::Run::attach_observers() {
+  // Flow scans register before metrics snapshots, so coincident instants
+  // scan first.
+  if (opt.flow_enabled()) {
+    obs::FlowExporter::Options fopt;
+    fopt.active_timeout = sim::from_seconds(opt.flow_active_timeout_s);
+    fopt.idle_timeout = sim::from_seconds(opt.flow_idle_timeout_s);
+    flow_exporter = std::make_unique<obs::FlowExporter>(fopt);
+    const sim::SimTime period = sim::from_seconds(opt.flow_scan_period_s);
+    if (period > 0) {
+      actions.push_back({t0 + period, period,
+                         [this](sim::SimTime at) { flow_scan(at); }});
+    }
+  }
+  if (!opt.enabled() || opt.metrics_json_path.empty()) return;
+  obs::register_topology_metrics(topo, registry);
+  register_sla_metrics(registry, probe);
+  obs::register_latency_metrics(latency, registry, cs_class_namer());
+  if (opt.engine_metrics) register_engine_metrics(registry);
+  if (opt.control_metrics) {
+    obs::register_control_metrics(bb.cp, bb.bgp, bb.igp, registry);
+  }
+  if (opt.engine_metrics && flow_exporter) {
+    std::vector<obs::FlowStatsTable*> tables;
+    for (const Lane& lane : lanes) tables.push_back(lane.flow_table.get());
+    obs::register_flow_metrics(*flow_exporter, tables, registry);
+  }
+  snapshots.emplace(registry);
+  // The first capture is a full period in; the fold makes the report
+  // observers the gauges read consistent before each sample.
+  const sim::SimTime period = sim::from_seconds(opt.snapshot_period_s);
+  if (period > 0) {
+    actions.push_back({t0 + period, period, [this](sim::SimTime at) {
+                         fold_lanes();
+                         snapshots->capture(at);
+                       }});
+  }
+}
+
+void Scenario::Run::fold_lanes() {
+  if (lanes.size() == 1) return;
+  probe = qos::SlaProbe("scenario");
+  for (const Lane& lane : lanes) probe.merge_from(*lane.probe);
+  if (opt.latency_enabled()) {
+    latency.reset();
+    for (const Lane& lane : lanes) latency.merge_from(*lane.latency);
+  }
+}
+
+void Scenario::Run::flow_scan(sim::SimTime at) {
+  if (lanes.size() == 1) {
+    flow_exporter->scan_table(*lanes[0].flow_table, at);
+    return;
+  }
+  for (Lane& lane : lanes) flow_exporter->merge_table(*lane.flow_table);
+  flow_exporter->scan(at);
+}
+
+void Scenario::Run::drive() {
+  advance(actions, t0 + sim::from_seconds(sc.run_for_s_ + 2.0));
   if (flow_exporter) {
     // Whatever is still accumulating after the drain window exports with
-    // cause=final; detach the serial table before teardown.
-    if (flow_tables.size() == 1) {
-      flow_exporter->flush_table(*flow_tables.front());
+    // cause=final.
+    if (lanes.size() == 1) {
+      flow_exporter->flush_table(*lanes[0].flow_table);
     } else {
-      for (auto& ft : flow_tables) flow_exporter->merge_table(*ft);
+      for (Lane& lane : lanes) flow_exporter->merge_table(*lane.flow_table);
       flow_exporter->flush();
     }
-    if (!runtime) topo.set_flow_stats(nullptr);
   }
+  engine_summary = finish_engine();
+  // Detach the lane tables before teardown.
+  if (flow_exporter) topo.set_flow_stats(nullptr);
+}
 
-  // Tear the shard runtime down before any report below reads the
-  // topology: fold the per-shard observers a final time, then finish()
-  // merges shard trace rings into the master recorder and restores the
-  // serial view.
-  std::uint64_t parallel_windows = 0;
-  std::uint64_t parallel_widened = 0;
-  std::uint64_t parallel_handoffs = 0;
-  std::uint64_t parallel_batches = 0;
-  std::uint32_t parallel_shards = 0;
-  sim::SimTime parallel_lookahead = 0;
-  if (runtime) {
-    merge_shard_observers();
-    parallel_shards = runtime->shard_count();
-    parallel_lookahead = runtime->lookahead();
-    parallel_windows = runtime->windows();
-    parallel_widened = runtime->widened_windows();
-    parallel_handoffs = runtime->handoffs();
-    parallel_batches = runtime->delivery_batches();
-    runtime->finish();
-  }
-
+bool Scenario::Run::report() {
   out << "converged in "
       << sim::to_seconds(bb.service.last_route_change_at()) * 1e3
-      << " ms; ran " << run_for_s_ << " s of traffic";
-  if (parallel_shards != 0) {
-    out << " on " << parallel_shards << " shards (lookahead "
-        << sim::to_seconds(parallel_lookahead) * 1e6 << " us, "
-        << parallel_windows << " windows, " << parallel_widened
-        << " widened, " << parallel_handoffs << " cross-shard handoffs, "
-        << parallel_batches << " batched deliveries)";
+      << " ms; ran " << sc.run_for_s_ << " s of traffic" << engine_summary
+      << "\n\n";
+  out << probe.to_table(sc.run_for_s_).render();
+  for (const auto& t : tcp_flows) {
+    out << "tcp flow " << t->flow_id() << ": goodput "
+        << stats::Table::num(t->goodput_bps(sc.run_for_s_) / 1e6, 2)
+        << " Mb/s, retransmits " << t->retransmits() << "\n";
   }
-  out << "\n\n";
-  out << probe.to_table(run_for_s_).render();
-  for (std::size_t i = 0; i < tcp_flows.size(); ++i) {
-    out << "tcp flow " << tcp_flows[i]->flow_id() << ": goodput "
-        << stats::Table::num(tcp_flows[i]->goodput_bps(run_for_s_) / 1e6, 2)
-        << " Mb/s, retransmits " << tcp_flows[i]->retransmits() << "\n";
-  }
-  if (obs_.latency_enabled()) {
-    const obs::NodeNamer lnamer = obs::topology_node_namer(bb.topo);
-    if (obs_.latency_report) {
+  if (opt.latency_enabled()) {
+    const obs::NodeNamer lnamer = obs::topology_node_namer(topo);
+    if (opt.latency_report) {
       out << "\nlatency anatomy: per-hop decomposition\n"
           << latency.hop_table(lnamer, cs_class_namer()).render()
           << "\nlatency anatomy: per-class delay budget\n"
           << latency.class_table(cs_class_namer()).render();
     }
-    if (!obs_.latency_json_path.empty()) {
-      std::ofstream lf(obs_.latency_json_path);
+    if (!opt.latency_json_path.empty()) {
+      std::ofstream lf(opt.latency_json_path);
       latency.write_json(lf, lnamer, cs_class_namer());
     }
   }
-  if (obs_.enabled()) {
-    const obs::FlightRecorder& rec = bb.topo.recorder();
-    const obs::NodeNamer namer = obs::topology_node_namer(bb.topo);
+  if (opt.enabled()) {
+    const obs::FlightRecorder& rec = topo.recorder();
+    const obs::NodeNamer namer = obs::topology_node_namer(topo);
     if (snapshots) {
-      snapshots->stop();
-      snapshots->capture();  // final state after the drain
-      std::ofstream mf(obs_.metrics_json_path);
+      snapshots->capture(topo.base_scheduler().now());  // after the drain
+      std::ofstream mf(opt.metrics_json_path);
       snapshots->write_json(mf);
     }
-    if (!obs_.events_jsonl_path.empty()) {
-      std::ofstream ef(obs_.events_jsonl_path);
+    if (!opt.events_jsonl_path.empty()) {
+      std::ofstream ef(opt.events_jsonl_path);
       obs::write_jsonl(rec, ef, namer);
     }
-    if (!obs_.chrome_trace_path.empty()) {
-      std::ofstream cf(obs_.chrome_trace_path);
+    if (!opt.chrome_trace_path.empty()) {
+      std::ofstream cf(opt.chrome_trace_path);
       obs::write_chrome_trace(rec, cf, namer, sync_prof.get());
     }
-    if (!obs_.spans_trace_path.empty()) {
+    if (!opt.spans_trace_path.empty()) {
       const obs::SpanAnalysis spans = obs::analyze_spans(rec);
-      std::ofstream sf(obs_.spans_trace_path);
+      std::ofstream sf(opt.spans_trace_path);
       obs::write_span_chrome_trace(spans, sf, namer);
     }
     out << "\nobs: " << rec.size() << " trace events held ("
@@ -1111,9 +1103,9 @@ bool Scenario::run(std::ostream& out) const {
   }
   if (sync_prof) {
     const obs::SyncProfiler::Report srep = sync_prof->report();
-    if (obs_.sync_report) out << '\n' << srep.to_table();
-    if (!obs_.sync_json_path.empty()) {
-      std::ofstream sf(obs_.sync_json_path);
+    if (opt.sync_report) out << '\n' << srep.to_table();
+    if (!opt.sync_json_path.empty()) {
+      std::ofstream sf(opt.sync_json_path);
       srep.write_json(sf);
       sf << '\n';
     }
@@ -1129,58 +1121,59 @@ bool Scenario::run(std::ostream& out) const {
     obs::PhbNamer pnamer = [](std::uint8_t phb) {
       return qos::to_string(static_cast<qos::Phb>(phb));
     };
-    if (obs_.flow_report) {
+    if (opt.flow_report) {
       out << "\nflow conformance: offered vs delivered per VPN x class ("
           << flow_exporter->records().size() << " flow records)\n"
           << flow_exporter->rollup_table(vnamer, pnamer).render();
     }
-    if (!obs_.flow_records_path.empty()) {
-      std::ofstream ff(obs_.flow_records_path);
-      flow_exporter->write_jsonl(ff, obs::topology_node_namer(bb.topo),
-                                 vnamer, pnamer);
+    if (!opt.flow_records_path.empty()) {
+      std::ofstream ff(opt.flow_records_path);
+      flow_exporter->write_jsonl(ff, obs::topology_node_namer(topo), vnamer,
+                                 pnamer);
     }
-    if (!obs_.flow_records_bin_path.empty()) {
-      std::ofstream fb(obs_.flow_records_bin_path, std::ios::binary);
+    if (!opt.flow_records_bin_path.empty()) {
+      std::ofstream fb(opt.flow_records_bin_path, std::ios::binary);
       flow_exporter->write_binary(fb);
     }
   }
-  if (!obs_.flow_profile_path.empty()) {
+  if (!opt.flow_profile_path.empty()) {
     // Measured off link transmit counters, which the run maintains whether
     // or not flow accounting was armed.
-    std::ofstream pf(obs_.flow_profile_path);
+    std::ofstream pf(opt.flow_profile_path);
     write_flow_profile(measure_flow_profile(topo), topo, pf);
   }
 
-  // Isolation / accounting verdict. In dispatcher mode (tcp present) the
-  // sink only sees what no handler claimed, so `delivered` there counts
-  // strays — and `unknown` nonzero means packets escaped SLA accounting,
-  // which used to be silently dropped by the no-op default handler.
-  std::uint64_t delivered = sink.delivered();
-  std::uint64_t leaks = sink.leaks();
-  std::uint64_t unknown = sink.unknown_flows();
-  for (const auto& ss : shard_sinks) {
-    delivered += ss->delivered();
-    leaks += ss->leaks();
-    unknown += ss->unknown_flows();
+  // Isolation / accounting verdict over every CE delivery: each CE's one
+  // local sink saw them all, endpoint flows included.
+  std::uint64_t delivered = 0;
+  std::uint64_t leaks = 0;
+  std::uint64_t unknown = 0;
+  for (const Lane& lane : lanes) {
+    delivered += lane.sink->delivered();
+    leaks += lane.sink->leaks();
+    unknown += lane.sink->unknown_flows();
   }
   out << "\ndelivered=" << delivered << " leaks=" << leaks
       << " unknown=" << unknown << "\n";
   return leaks == 0 && unknown == 0;
 }
 
-int run_scenario_file(const std::string& path, std::ostream& out) {
-  return run_scenario_file(path, out, ObsOptions{});
+bool Scenario::run(std::ostream& out) const {
+  Run run(*this, out);
+  run.build();
+  run.build_lanes();
+  run.arm_flows();
+  run.attach_observers();
+  run.drive();
+  return run.report();
 }
 
-int run_scenario_file(const std::string& path, std::ostream& out,
-                      const ObsOptions& obs, std::uint32_t shards,
-                      int flowcache, bool verbose,
-                      std::vector<std::uint64_t> partition_weights,
-                      int legacy_updates, int full_spf) {
+std::optional<Scenario> load_scenario_file(const std::string& path,
+                                           std::ostream& out) {
   std::ifstream in(path);
   if (!in) {
     out << "cannot open " << path << "\n";
-    return 2;
+    return std::nullopt;
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -1188,15 +1181,13 @@ int run_scenario_file(const std::string& path, std::ostream& out,
   auto scenario = Scenario::parse(buffer.str(), &error);
   if (!scenario) {
     out << path << ":" << error.line << ": " << error.message << "\n";
-    return 2;
   }
-  scenario->set_obs(obs);
-  if (shards != 0) scenario->set_shards(shards);
-  if (flowcache >= 0) scenario->set_flowcache(flowcache != 0);
-  if (legacy_updates >= 0) scenario->set_legacy_updates(legacy_updates != 0);
-  if (full_spf >= 0) scenario->set_full_spf(full_spf != 0);
-  scenario->set_verbose(verbose);
-  scenario->set_partition_weights(std::move(partition_weights));
+  return scenario;
+}
+
+int run_scenario_file(const std::string& path, std::ostream& out) {
+  const auto scenario = load_scenario_file(path, out);
+  if (!scenario) return 2;
   return scenario->run(out) ? 0 : 1;
 }
 

@@ -100,7 +100,7 @@ struct ObsOptions {
 ///   vpn corp
 ///   extranet corp partner                  # corp imports partner's routes
 ///   site corp pe=0 prefix=10.1.0.0/16      # site index = declaration order
-///   site corp pe=1 prefix=10.2.0.0/16 pref=200
+///   site corp pe=1 prefix=10.2.0.0/16
 ///   classify site=0 dstport=16384-16484 class=EF
 ///   police  site=0 class=EF cir=62500 cbs=4000 ebs=4000   # bytes/s, bytes
 ///   shape   site=0 class=AF11 rate=125000 burst=3000
@@ -150,10 +150,12 @@ class Scenario {
   void set_obs(ObsOptions obs) { obs_ = std::move(obs); }
   [[nodiscard]] const ObsOptions& obs() const noexcept { return obs_; }
 
-  /// Partition the topology into `n` shards and run the traffic phase on
-  /// the parallel engine (1 = serial, the default; also settable from the
-  /// scenario file via `run shards=N`). Scenarios with tcp flows fall back
-  /// to serial — TCP-lite endpoints share congestion state across sites.
+  /// Partition the topology into `n` shards and run the traffic phase with
+  /// one engine lane per shard (1 = one lane on the serial scheduler, the
+  /// default; also settable from the scenario file via `run shards=N`).
+  /// Reports are byte-identical for every `n`. Scenarios with tcp flows run
+  /// on one lane whatever `n` is, and say so: a TCP-lite flow's congestion
+  /// state spans both endpoint CEs, which may land on different shards.
   void set_shards(std::uint32_t n) { shards_ = n == 0 ? 1 : n; }
   [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
 
@@ -218,11 +220,14 @@ class Scenario {
   [[nodiscard]] double run_seconds() const noexcept { return run_for_s_; }
 
  private:
+  /// One execution of the scenario, split into the steps run() calls
+  /// (defined in scenario_config.cpp).
+  struct Run;
+
   struct SiteDecl {
     std::string vpn;
     std::size_t pe = 0;
     ip::Prefix prefix;
-    std::uint32_t pref = 100;
   };
   struct ClassifyDecl {
     std::size_t site = 0;
@@ -273,20 +278,14 @@ class Scenario {
   ObsOptions obs_;
 };
 
-/// Convenience: parse + run from a file path. Returns process-style exit
-/// code (0 ok, 1 isolation violation, 2 parse/usage error).
-/// `shards` != 0 overrides the scenario file's `run shards=` setting;
-/// `flowcache` 0/1 overrides `run flowcache=` (-1 leaves the file's choice);
-/// `verbose` prints partition diagnostics to stderr.
-/// `partition_weights` feeds the flow-weighted partitioner (see
-/// Scenario::set_partition_weights).
-/// `legacy_updates` and `full_spf` 0/1 override `run updates=` /
-/// `run spf=` (-1 leaves the file's choice).
+/// Read and parse a scenario file. On failure prints "cannot open PATH" or
+/// "PATH:LINE: message" to `out` and returns nullopt.
+std::optional<Scenario> load_scenario_file(const std::string& path,
+                                           std::ostream& out);
+
+/// Convenience: load + run with the file's own settings. Returns
+/// process-style exit code (0 ok, 1 isolation violation, 2 parse/usage
+/// error).
 int run_scenario_file(const std::string& path, std::ostream& out);
-int run_scenario_file(const std::string& path, std::ostream& out,
-                      const ObsOptions& obs, std::uint32_t shards = 0,
-                      int flowcache = -1, bool verbose = false,
-                      std::vector<std::uint64_t> partition_weights = {},
-                      int legacy_updates = -1, int full_spf = -1);
 
 }  // namespace mvpn::backbone

@@ -80,7 +80,7 @@ class ShardRuntime {
   /// Global action between windows (metrics snapshots): see
   /// sim::ParallelEngine::add_periodic_action.
   void add_periodic_action(sim::SimTime first, sim::SimTime period,
-                           std::function<void()> fn) {
+                           std::function<void(sim::SimTime at)> fn) {
     engine_->add_periodic_action(first, period, std::move(fn));
   }
 

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/scheduler.hpp"
+#include "sim/time.hpp"
 #include "stats/counter.hpp"
 #include "stats/histogram.hpp"
 
@@ -81,20 +81,18 @@ class MetricsRegistry : public stats::CounterHook {
   bool hook_installed_ = false;
 };
 
-/// Periodic metrics capture driven by the simulation clock: every
-/// `period`, reads the registry and appends a timestamped snapshot.
-/// write_json() emits the whole series as a JSON array of
-/// {"t_s": <sim seconds>, "metrics": {...}} objects.
+/// A timestamped series of registry snapshots. A scenario run calls
+/// capture() at each snapshot instant (between engine windows, so every
+/// lane rests at the same simulated time); write_json() emits the whole
+/// series as a JSON array of {"t_s": <sim seconds>, "metrics": {...}}
+/// objects.
 class PeriodicSnapshots {
  public:
-  PeriodicSnapshots(const MetricsRegistry& registry, sim::Scheduler& sched)
-      : registry_(registry), sched_(sched) {}
+  explicit PeriodicSnapshots(const MetricsRegistry& registry)
+      : registry_(registry) {}
 
-  /// Begin capturing every `period` (first capture after one period).
-  void start(sim::SimTime period);
-  void stop() noexcept { running_ = false; }
-  /// Capture one snapshot immediately.
-  void capture();
+  /// Read the registry now and stamp the snapshot with simulated time `at`.
+  void capture(sim::SimTime at);
 
   [[nodiscard]] std::size_t count() const noexcept {
     return snapshots_.size();
@@ -102,17 +100,12 @@ class PeriodicSnapshots {
   void write_json(std::ostream& out) const;
 
  private:
-  void tick();
-
   struct Timed {
     sim::SimTime at = 0;
     std::vector<MetricsRegistry::Sample> samples;
   };
 
   const MetricsRegistry& registry_;
-  sim::Scheduler& sched_;
-  sim::SimTime period_ = 0;
-  bool running_ = false;
   std::vector<Timed> snapshots_;
 };
 

@@ -111,9 +111,8 @@ void Bgp::send_withdraw(ip::NodeId from, ip::NodeId to,
                    [this, to, from, key] { receive_withdraw(to, from, key); });
 }
 
-void Bgp::propagate(ip::NodeId node, ip::NodeId sender, const VpnRouteKey& key,
-                    const VpnRoute* route) {
-  std::vector<ip::NodeId> targets = advertise_targets(node, sender);
+void Bgp::propagate(ip::NodeId node, std::vector<ip::NodeId> targets,
+                    const VpnRouteKey& key, const VpnRoute* route) {
   if (targets.empty()) return;
   if (!packing_) {
     for (ip::NodeId peer : targets) {
@@ -220,30 +219,47 @@ void Bgp::decide(ip::NodeId node, const VpnRouteKey& key) {
   if (new_best == nullptr) {
     if (loc_it == st.loc_rib.end()) return;  // nothing changed
     // Best path lost: withdraw downstream, notify observers.
-    const ip::NodeId old_sender = st.best_sender[key];
+    const ip::NodeId old_sender = loc_it->second.sender;
     st.loc_rib.erase(loc_it);
-    st.best_sender.erase(key);
     VpnRoute gone;
     gone.rd = key.first;
     gone.prefix = key.second;
     for (const auto& cb : observers_) cb(node, gone, true);
-    propagate(node, old_sender, key, nullptr);
+    propagate(node, advertise_targets(node, old_sender), key, nullptr);
     return;
   }
 
   VpnRoute best_route = materialize(key, *new_best, pool_);
-  const bool changed =
-      loc_it == st.loc_rib.end() ||
-      loc_it->second.next_hop != best_route.next_hop ||
-      loc_it->second.vpn_label != best_route.vpn_label ||
-      loc_it->second.originator != best_route.originator ||
-      loc_it->second.route_targets != best_route.route_targets;
-  if (!changed) return;
-
-  VpnRoute& stored = st.loc_rib[key] = std::move(best_route);
-  st.best_sender[key] = new_sender;
+  if (loc_it == st.loc_rib.end()) {
+    SpeakerState::Best fresh{std::move(best_route), new_sender};
+    loc_it = st.loc_rib.emplace(key, std::move(fresh)).first;
+  } else {
+    SpeakerState::Best& cur = loc_it->second;
+    if (cur.sender != new_sender) {
+      // A new sender can shrink the advertise set (a reflector whose best
+      // moved from a client to the other reflector's copy). Peers dropped
+      // from it must drop the route, or two reflectors keep each other's
+      // copies alive after the origin withdraws.
+      std::vector<ip::NodeId> stale = advertise_targets(node, cur.sender);
+      const std::vector<ip::NodeId> kept =
+          advertise_targets(node, new_sender);
+      std::erase_if(stale, [&kept](ip::NodeId peer) {
+        return std::find(kept.begin(), kept.end(), peer) != kept.end();
+      });
+      cur.sender = new_sender;
+      propagate(node, std::move(stale), key, nullptr);
+    }
+    if (cur.route.next_hop == best_route.next_hop &&
+        cur.route.vpn_label == best_route.vpn_label &&
+        cur.route.originator == best_route.originator &&
+        cur.route.route_targets == best_route.route_targets) {
+      return;  // same path
+    }
+    cur.route = std::move(best_route);
+  }
+  const VpnRoute& stored = loc_it->second.route;
   for (const auto& cb : observers_) cb(node, stored, false);
-  propagate(node, new_sender, key, &stored);
+  propagate(node, advertise_targets(node, new_sender), key, &stored);
 }
 
 void Bgp::fail_speaker(ip::NodeId pe) {
@@ -293,14 +309,14 @@ std::size_t Bgp::adj_rib_routes() const {
 const VpnRoute* Bgp::best(ip::NodeId node, const VpnRouteKey& key) const {
   const SpeakerState& st = state_.at(node);
   auto it = st.loc_rib.find(key);
-  return it == st.loc_rib.end() ? nullptr : &it->second;
+  return it == st.loc_rib.end() ? nullptr : &it->second.route;
 }
 
 std::vector<VpnRoute> Bgp::loc_rib(ip::NodeId node) const {
   std::vector<VpnRoute> out;
   const SpeakerState& st = state_.at(node);
   out.reserve(st.loc_rib.size());
-  for (const auto& [key, route] : st.loc_rib) out.push_back(route);
+  for (const auto& [key, best] : st.loc_rib) out.push_back(best.route);
   return out;
 }
 

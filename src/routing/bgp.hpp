@@ -101,9 +101,13 @@ class Bgp {
     /// compact open-addressed table. Sender kInvalidNode marks
     /// locally-originated routes.
     AdjRibIn adj_rib_in;
-    std::map<VpnRouteKey, VpnRoute> loc_rib;
-    /// Which peer (or local) supplied the current best, for reflection.
-    std::map<VpnRouteKey, ip::NodeId> best_sender;
+    /// Per key, the best path and the peer (kInvalidNode: local) that
+    /// supplied it, for reflection.
+    struct Best {
+      VpnRoute route;
+      ip::NodeId sender = ip::kInvalidNode;
+    };
+    std::map<VpnRouteKey, Best> loc_rib;
   };
 
   void add_session(ip::NodeId a, ip::NodeId b);
@@ -115,10 +119,11 @@ class Bgp {
   /// `sender` (kInvalidNode = locally originated).
   [[nodiscard]] std::vector<ip::NodeId> advertise_targets(
       ip::NodeId node, ip::NodeId sender) const;
-  /// Route the (re-)advertisement or withdraw (`route` null) of `key`
-  /// through the RibOut (packed) or straight to per-peer messages (legacy).
-  void propagate(ip::NodeId node, ip::NodeId sender, const VpnRouteKey& key,
-                 const VpnRoute* route);
+  /// Route the (re-)advertisement or withdraw (`route` null) of `key` to
+  /// `targets` through the RibOut (packed) or straight to per-peer
+  /// messages (legacy).
+  void propagate(ip::NodeId node, std::vector<ip::NodeId> targets,
+                 const VpnRouteKey& key, const VpnRoute* route);
   /// Drain `node`'s update groups into packed session messages.
   void flush(ip::NodeId node);
   void apply_packed(ip::NodeId at, ip::NodeId from,

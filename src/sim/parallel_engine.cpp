@@ -48,7 +48,7 @@ ParallelEngine::~ParallelEngine() {
 }
 
 void ParallelEngine::add_periodic_action(SimTime first, SimTime period,
-                                         std::function<void()> fn) {
+                                         std::function<void(SimTime at)> fn) {
   if (period < 1) {
     throw std::invalid_argument("ParallelEngine: action period must be >= 1");
   }
@@ -138,7 +138,7 @@ void ParallelEngine::fire_global(SimTime at) {
   if (global_ != nullptr) global_->run_until(at);
   for (Action& a : actions_) {
     while (a.fn && a.at <= at) {
-      a.fn();
+      a.fn(a.at);
       a.at += a.period;
     }
   }

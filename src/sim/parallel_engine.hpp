@@ -74,11 +74,12 @@ class ParallelEngine {
     return observer_;
   }
 
-  /// Run `fn` between windows at `first`, `first + period`, ... — each
-  /// invocation sees every shard past all events before that instant and
-  /// none at or after it (the serial tick-before-data convention).
+  /// Run `fn(at)` between windows at `at` = `first`, `first + period`, ...
+  /// — each invocation sees every shard past all events before that
+  /// instant and none at or after it (the serial tick-before-data
+  /// convention).
   void add_periodic_action(SimTime first, SimTime period,
-                           std::function<void()> fn);
+                           std::function<void(SimTime at)> fn);
 
   /// Drive all shards (and global actions) to exactly `t_end`. May be
   /// called repeatedly with increasing times; workers persist in between.
@@ -104,7 +105,7 @@ class ParallelEngine {
   struct Action {
     SimTime at = 0;
     SimTime period = 0;  ///< 0: one-shot
-    std::function<void()> fn;
+    std::function<void(SimTime at)> fn;
   };
 
   void worker(ShardRef shard);

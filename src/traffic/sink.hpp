@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "qos/dscp.hpp"
@@ -10,17 +11,21 @@
 
 namespace mvpn::traffic {
 
-/// Receives locally-delivered packets at one or more CE routers, checks
-/// VPN isolation (ground-truth `true_vpn_id` vs the VPN context that
-/// delivered the packet — any mismatch is a leak, experiment E6) and feeds
-/// per-class latency/loss into an SlaProbe.
+/// The one local-delivery hook of the CE routers it is bound to. Every
+/// delivery is checked for VPN isolation first (ground-truth `true_vpn_id`
+/// vs the VPN context that delivered the packet — any mismatch is a leak,
+/// experiment E6). An isolated packet then goes to its flow's owner: the
+/// SlaProbe for measured flows (expect_flow), an endpoint handler for
+/// claimed ones (claim_flow, e.g. both ends of a TcpLiteFlow), or the
+/// unknown-flow count.
 ///
-/// Flow expectations live in a flat vector indexed by flow_id: scenario
-/// flow ids are a dense counter from 1, so at 10^5–10^6 flows this is an
-/// 8-byte-per-flow direct lookup instead of an unordered_map probe on
-/// every delivery.
+/// Flow state lives in a flat vector indexed by flow_id: scenario flow ids
+/// are a dense counter from 1, so at 10^5–10^6 flows a delivery is a
+/// 12-byte direct lookup instead of a hash probe.
 class MeasurementSink {
  public:
+  using Handler = std::function<void(const net::Packet&)>;
+
   MeasurementSink(qos::SlaProbe& probe, sim::Scheduler& clock)
       : probe_(probe), clock_(clock) {}
 
@@ -28,14 +33,17 @@ class MeasurementSink {
   void expect_flow(std::uint32_t flow_id, qos::Phb cls,
                    vpn::VpnId expected_vpn);
 
+  /// Hand every isolated delivery of `flow_id` to `handler` instead of the
+  /// probe (endpoint flows). Claim each flow once per sink.
+  void claim_flow(std::uint32_t flow_id, Handler handler);
+
   /// Install this sink as `ce`'s local-delivery hook.
   void bind(vpn::Router& ce);
 
-  /// Account one delivery. Public so a FlowDispatcher default handler can
-  /// route otherwise-unclaimed packets here (mixed cbr+tcp runs) instead of
-  /// silently dropping their SLA accounting.
+  /// Account one delivery (the hook bind() installs).
   void on_delivery(const net::Packet& p, vpn::VpnId vpn);
 
+  /// Every delivery seen, whatever its outcome.
   [[nodiscard]] std::uint64_t delivered() const noexcept {
     return delivered_.value();
   }
@@ -45,18 +53,20 @@ class MeasurementSink {
   [[nodiscard]] std::uint64_t unknown_flows() const noexcept {
     return unknown_.value();
   }
-  [[nodiscard]] qos::SlaProbe& probe() noexcept { return probe_; }
 
  private:
+  enum class Owner : std::uint8_t { kNone, kProbe, kHandler };
   struct Expected {
     qos::Phb cls = qos::Phb::kBe;
+    Owner owner = Owner::kNone;
     vpn::VpnId vpn = vpn::kGlobalVpn;
-    bool known = false;
+    std::uint32_t handler = 0;  ///< index into handlers_ (kHandler only)
   };
 
   qos::SlaProbe& probe_;
   sim::Scheduler& clock_;
   std::vector<Expected> flows_;  ///< indexed by flow_id
+  std::vector<Handler> handlers_;
   stats::Counter delivered_;
   stats::Counter leaks_;
   stats::Counter unknown_;

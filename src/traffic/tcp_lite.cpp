@@ -4,9 +4,8 @@
 
 namespace mvpn::traffic {
 
-TcpLiteFlow::TcpLiteFlow(vpn::Router& sender, FlowDispatcher& sender_dispatch,
-                         vpn::Router& receiver,
-                         FlowDispatcher& receiver_dispatch,
+TcpLiteFlow::TcpLiteFlow(vpn::Router& sender, MeasurementSink& sender_sink,
+                         vpn::Router& receiver, MeasurementSink& receiver_sink,
                          std::uint32_t flow_id, Config config,
                          qos::SlaProbe* probe)
     : sender_(sender),
@@ -17,19 +16,22 @@ TcpLiteFlow::TcpLiteFlow(vpn::Router& sender, FlowDispatcher& sender_dispatch,
       sched_(sender.topology().scheduler()),
       cwnd_(config.initial_cwnd),
       ssthresh_(config.initial_ssthresh) {
-  // ACKs come back to the sender; data arrives at the receiver.
-  sender_dispatch.register_flow(flow_id_,
-                                [this](const net::Packet& p, vpn::VpnId) {
-                                  if (p.seg && p.seg->is_ack) {
-                                    on_ack(p.seg->seq);
-                                  }
-                                });
-  receiver_dispatch.register_flow(flow_id_,
-                                  [this](const net::Packet& p, vpn::VpnId) {
-                                    if (p.seg && !p.seg->is_ack) {
-                                      on_data(p);
-                                    }
-                                  });
+  // ACKs come back to the sender; data arrives at the receiver. Both CEs
+  // may share one sink, so one handler serves both directions.
+  auto handler = [this](const net::Packet& p) { on_segment(p); };
+  sender_sink.claim_flow(flow_id_, handler);
+  if (&receiver_sink != &sender_sink) {
+    receiver_sink.claim_flow(flow_id_, handler);
+  }
+}
+
+void TcpLiteFlow::on_segment(const net::Packet& p) {
+  if (!p.seg) return;
+  if (p.seg->is_ack) {
+    on_ack(p.seg->seq);
+  } else {
+    on_data(p);
+  }
 }
 
 void TcpLiteFlow::start(sim::SimTime at) {
@@ -42,7 +44,6 @@ void TcpLiteFlow::start(sim::SimTime at) {
 
 void TcpLiteFlow::maybe_send() {
   if (stopped_) return;
-  const auto in_flight = next_seq_ - highest_acked_;
   const auto window = static_cast<std::uint32_t>(cwnd_);
   while (next_seq_ - highest_acked_ < std::max<std::uint32_t>(window, 1) &&
          (config_.total_segments == 0 ||
@@ -50,7 +51,6 @@ void TcpLiteFlow::maybe_send() {
     send_segment(next_seq_, false);
     ++next_seq_;
   }
-  (void)in_flight;
 }
 
 void TcpLiteFlow::send_segment(std::uint32_t seq, bool retransmission) {

@@ -6,7 +6,7 @@
 #include "qos/dscp.hpp"
 #include "qos/sla.hpp"
 #include "sim/scheduler.hpp"
-#include "traffic/dispatcher.hpp"
+#include "traffic/sink.hpp"
 #include "vpn/router.hpp"
 
 namespace mvpn::traffic {
@@ -18,9 +18,11 @@ namespace mvpn::traffic {
 /// network — the adaptive "data applications" the paper's converged-
 /// network story assumes — instead of open-loop sources.
 ///
-/// Both endpoints must have a FlowDispatcher attached; the flow registers
-/// itself on construction. Segments ride the normal VPN data plane (CE
-/// classification, label imposition, queueing all apply).
+/// The flow claims its flow id on both endpoint CEs' sinks on construction
+/// (data segments are taken at the receiver, ACKs at the sender), so the
+/// sinks' isolation check guards both directions. Segments ride the normal
+/// VPN data plane (CE classification, label imposition, queueing all
+/// apply).
 class TcpLiteFlow {
  public:
   struct Config {
@@ -39,8 +41,8 @@ class TcpLiteFlow {
     sim::SimTime rto = 200 * sim::kMillisecond;
   };
 
-  TcpLiteFlow(vpn::Router& sender, FlowDispatcher& sender_dispatch,
-              vpn::Router& receiver, FlowDispatcher& receiver_dispatch,
+  TcpLiteFlow(vpn::Router& sender, MeasurementSink& sender_sink,
+              vpn::Router& receiver, MeasurementSink& receiver_sink,
               std::uint32_t flow_id, Config config,
               qos::SlaProbe* probe = nullptr);
 
@@ -74,6 +76,7 @@ class TcpLiteFlow {
  private:
   void maybe_send();
   void send_segment(std::uint32_t seq, bool retransmission);
+  void on_segment(const net::Packet& p);
   void on_ack(std::uint32_t cum_ack);
   void on_data(const net::Packet& p);
   void send_ack();

@@ -287,23 +287,20 @@ TEST(MetricsRegistry, NamedCountersSelfRegisterWhileHookInstalled) {
   EXPECT_EQ(reg.metric_count(), 0u);
 }
 
-TEST(MetricsRegistry, PeriodicSnapshotsFollowSimClock) {
-  sim::Scheduler sched;
+TEST(MetricsRegistry, PeriodicSnapshotsStampTheirCaptureInstants) {
   obs::MetricsRegistry reg;
   std::uint64_t ticks = 0;
   reg.add_gauge("ticks", [&ticks] { return static_cast<double>(++ticks); });
 
-  obs::PeriodicSnapshots snaps(reg, sched);
-  snaps.start(10 * sim::kMillisecond);
-  sched.run_until(55 * sim::kMillisecond);
+  obs::PeriodicSnapshots snaps(reg);
+  for (int i = 1; i <= 5; ++i) snaps.capture(i * 10 * sim::kMillisecond);
   EXPECT_EQ(snaps.count(), 5u);
-  snaps.stop();
-  sched.run_until(100 * sim::kMillisecond);
-  EXPECT_EQ(snaps.count(), 5u);
+  EXPECT_EQ(ticks, 5u);  // one registry read per capture
 
   std::ostringstream os;
   snaps.write_json(os);
   EXPECT_NE(os.str().find("\"t_s\":0.01"), std::string::npos);
+  EXPECT_NE(os.str().find("\"t_s\":0.05"), std::string::npos);
   EXPECT_NE(os.str().find("\"ticks\":1"), std::string::npos);
 }
 

@@ -191,14 +191,19 @@ TEST(ParallelEngine, GlobalActionsFireBetweenWindows) {
   sim::Scheduler global;
   std::vector<sim::SimTime> stamps;
   sim::ParallelEngine engine({{0, &shard}}, sim::kMillisecond, &global);
+  std::vector<sim::SimTime> instants;
   engine.add_periodic_action(5 * sim::kMillisecond, 5 * sim::kMillisecond,
-                             [&] { stamps.push_back(global.now()); });
+                             [&](sim::SimTime at) {
+                               stamps.push_back(global.now());
+                               instants.push_back(at);
+                             });
   engine.run_until(20 * sim::kMillisecond);
   ASSERT_EQ(stamps.size(), 4U);
   for (std::size_t i = 0; i < stamps.size(); ++i) {
     EXPECT_EQ(stamps[i], static_cast<sim::SimTime>(i + 1) * 5 *
                              sim::kMillisecond);
   }
+  EXPECT_EQ(instants, stamps);  // the action is told its own instant
   EXPECT_EQ(global.now(), 20 * sim::kMillisecond);
 }
 

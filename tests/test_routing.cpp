@@ -768,6 +768,23 @@ std::vector<std::vector<VpnRoute>> rr_script_ribs(bool packed,
   f.topo.scheduler().run();
   bgp.fail_speaker(1);
   f.topo.scheduler().run();
+  // Every live origin withdraws one multihomed prefix: no live speaker, and
+  // in particular neither reflector, may keep a copy. (The failed speaker
+  // keeps its own origination; it has no sessions left to withdraw it.)
+  for (ip::NodeId n = 0; n < kClients; ++n) {
+    if (n != 1) {
+      bgp.withdraw(n, RouteDistinguisher{65000, 4},
+                   ip::Prefix::must_parse("10.4.0.0/16"));
+    }
+  }
+  f.topo.scheduler().run();
+  const VpnRouteKey gone{RouteDistinguisher{65000, 4},
+                         ip::Prefix::must_parse("10.4.0.0/16")};
+  for (ip::NodeId n = 0; n < kClients + 2; ++n) {
+    if (n == 1) continue;
+    EXPECT_EQ(bgp.best(n, gone), nullptr)
+        << "speaker " << n << (packed ? " (packed)" : " (legacy)");
+  }
 
   if (messages != nullptr) {
     *messages = f.cp.message_count("bgp.update") +
@@ -802,6 +819,42 @@ TEST(Bgp, PackedAndLegacyConvergeToIdenticalRibs) {
   }
   // Packing exists to shrink the message count, not just match state.
   EXPECT_LT(packed_msgs, legacy_msgs);
+}
+
+TEST(Bgp, TwoReflectorsWithdrawReachesEveryClient) {
+  // Each reflector also holds the other's reflection of a client route.
+  // When the client withdraws, a reflector's best moves to that reflection
+  // with identical attributes; it must then withdraw its own copy from the
+  // other reflector, or the two keep each other's copies (and every client
+  // keeps the route) forever.
+  for (const bool packed : {true, false}) {
+    BgpFixture f;
+    Bgp bgp(f.cp, Bgp::Mode::kRouteReflector);
+    constexpr ip::NodeId kClients = 4;
+    for (ip::NodeId n = 0; n < kClients + 2; ++n) {
+      f.topo.add_node<Router>(std::string("n").append(std::to_string(n)),
+                              Role::kPe);
+    }
+    for (ip::NodeId n = 0; n < kClients; ++n) bgp.add_speaker(n);
+    bgp.add_route_reflector(kClients);
+    bgp.add_route_reflector(kClients + 1);
+    bgp.set_packing(packed);
+    bgp.start();
+    bgp.originate(0, f.route(1, "10.1.0.0/16", 0));
+    f.topo.scheduler().run();
+    const VpnRouteKey key{RouteDistinguisher{65000, 1},
+                          ip::Prefix::must_parse("10.1.0.0/16")};
+    for (ip::NodeId n = 0; n < kClients + 2; ++n) {
+      ASSERT_NE(bgp.best(n, key), nullptr) << "speaker " << n;
+    }
+    bgp.withdraw(0, RouteDistinguisher{65000, 1},
+                 ip::Prefix::must_parse("10.1.0.0/16"));
+    f.topo.scheduler().run();
+    for (ip::NodeId n = 0; n < kClients + 2; ++n) {
+      EXPECT_EQ(bgp.best(n, key), nullptr)
+          << "speaker " << n << (packed ? " (packed)" : " (legacy)");
+    }
+  }
 }
 
 TEST(Bgp, WithdrawThenReplaceInOneFlushWindowYieldsReplacement) {

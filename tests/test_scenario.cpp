@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -43,7 +45,7 @@ vpn corp
 vpn partner
 extranet corp partner
 site corp pe=0 prefix=10.1.0.0/16
-site corp pe=1 prefix=10.2.0.0/16 pref=200
+site corp pe=1 prefix=10.2.0.0/16
 site partner pe=1 prefix=192.168.0.0/16
 classify site=0 dstport=16384-16484 class=EF
 classify site=0 dstport=5004 class=AF21
@@ -182,6 +184,14 @@ TEST(ScenarioParse, UnknownKeyRejectedOnEveryDirective) {
                    .has_value());
   EXPECT_EQ(err.line, 1u);
   EXPECT_NE(err.message.find("bogus="), std::string::npos) << err.message;
+  // The retired site preference key is an unknown key like any other.
+  EXPECT_FALSE(Scenario::parse(std::string(kMinimal) +
+                                   "site corp pe=1 prefix=10.3.0.0/16 "
+                                   "pref=200\n",
+                               &err)
+                   .has_value());
+  EXPECT_EQ(err.line, 8u);
+  EXPECT_NE(err.message.find("pref="), std::string::npos) << err.message;
   // Police keys are not shape keys and vice versa.
   EXPECT_FALSE(Scenario::parse(std::string(kMinimal) +
                                    "shape site=0 rate=1e5 cir=5\n",
@@ -206,6 +216,16 @@ TEST(ScenarioParse, ShippedAndGeneratedScenariosStillParse) {
   ASSERT_TRUE(shipped.has_value()) << "line " << err.line << ": "
                                    << err.message;
   EXPECT_EQ(shipped->flow_count(), 3u);
+  std::ifstream elastic_in(std::string(MVPN_SOURCE_DIR) +
+                           "/examples/scenarios/elastic_mix.scn");
+  ASSERT_TRUE(elastic_in.good());
+  std::stringstream elastic_text;
+  elastic_text << elastic_in.rdbuf();
+  auto elastic = Scenario::parse(elastic_text.str(), &err);
+  ASSERT_TRUE(elastic.has_value()) << "line " << err.line << ": "
+                                   << err.message;
+  EXPECT_EQ(elastic->vpn_count(), 2u);
+  EXPECT_EQ(elastic->flow_count(), 8u);
   auto generated = Scenario::parse(
       "topology generated p=8 pe=16 ce=2 flows=512 seed=5\nrun for=1\n",
       &err);
@@ -295,30 +315,92 @@ run for=3
   EXPECT_EQ(report.find("goodput 0.00", pos), std::string::npos) << report;
 }
 
-TEST(ScenarioRun, MixedTcpRunAccountsPlainFlows) {
-  // Regression: cbr+tcp runs used to leave the sink unbound as the default
-  // dispatcher handler, silently discarding all accounting for the plain
-  // flows. The accounting line must appear and report zero leaks/unknowns.
-  const char* text = R"(
+const char* kCbrTcp = R"(
 backbone p=1 pe=2 core_bw=4e6 edge_bw=20e6 seed=13 core_queue=prio
 vpn corp
 site corp pe=0 prefix=10.1.0.0/16
 site corp pe=1 prefix=10.2.0.0/16
 classify site=0 dstport=16400 class=EF
 flow cbr vpn=corp from=0 to=1 rate=200e3 class=EF port=16400 size=172
+flow poisson vpn=corp from=1 to=0 rate=1e6 class=BE port=8080 size=972
 flow tcp vpn=corp from=0 to=1 class=BE port=80
-run for=3
+run for=2
 )";
+
+/// The number after `"key":` in a JSON line, or 0 when absent.
+std::uint64_t json_uint(const std::string& line, const std::string& key) {
+  const auto pos = line.find("\"" + key + "\":");
+  if (pos == std::string::npos) return 0;
+  return std::stoull(line.substr(pos + key.size() + 3));
+}
+
+/// Sum of the "delivered" column of the report's SLA table.
+std::uint64_t sla_delivered(const std::string& report) {
+  std::uint64_t total = 0;
+  std::istringstream in(report);
+  std::string line;
+  while (std::getline(in, line)) {
+    // Class rows look like "| EF    | 375  | 375       | ...".
+    if (line.rfind("| ", 0) != 0 || line.rfind("| class", 0) == 0) continue;
+    std::istringstream cells(line);
+    std::string cls, sent, delivered, bar;
+    cells >> bar >> cls >> bar >> sent >> bar >> delivered;
+    total += std::stoull(delivered);
+  }
+  return total;
+}
+
+std::uint64_t report_uint(const std::string& report, const std::string& key) {
+  const auto pos = report.find(key + "=");
+  if (pos == std::string::npos) return 0;
+  return std::stoull(report.substr(pos + key.size() + 1));
+}
+
+TEST(ScenarioRun, MixedTcpRunCountsEveryCeDelivery) {
+  // Every CE has one local sink, so `delivered=` counts every delivery:
+  // the measured flows' (the SLA table) plus the TCP endpoints' segments
+  // and ACKs, all isolation-checked. The flow records count the same
+  // deliveries at the routers.
   ScenarioError err;
-  auto sc = Scenario::parse(text, &err);
+  auto sc = Scenario::parse(kCbrTcp, &err);
   ASSERT_TRUE(sc.has_value()) << err.message;
+  ObsOptions obs;
+  obs.flow_records_path = ::testing::TempDir() + "cbr_tcp_records.jsonl";
+  sc->set_obs(obs);
   std::ostringstream out;
-  EXPECT_TRUE(sc->run(out));
+  ASSERT_TRUE(sc->run(out));
   const std::string report = out.str();
-  const auto pos = report.find("delivered=");
-  ASSERT_NE(pos, std::string::npos) << report;
-  EXPECT_NE(report.find("leaks=0", pos), std::string::npos) << report;
-  EXPECT_NE(report.find("unknown=0", pos), std::string::npos) << report;
+
+  std::uint64_t measured = 0;
+  std::uint64_t endpoint = 0;
+  std::ifstream records(obs.flow_records_path);
+  std::string line;
+  while (std::getline(records, line)) {
+    const std::uint64_t n = json_uint(line, "delivered_pkts");
+    (json_uint(line, "flow") == 3 ? endpoint : measured) += n;
+  }
+  std::remove(obs.flow_records_path.c_str());
+  ASSERT_GT(measured, 0u);
+  ASSERT_GT(endpoint, 0u);
+  EXPECT_EQ(sla_delivered(report), measured) << report;
+  EXPECT_EQ(report_uint(report, "delivered"), measured + endpoint) << report;
+  EXPECT_EQ(report_uint(report, "leaks"), 0u);
+  EXPECT_EQ(report_uint(report, "unknown"), 0u);
+}
+
+TEST(ScenarioRun, MixedTcpRunIgnoresShardsButSaysSo) {
+  ScenarioError err;
+  auto serial = Scenario::parse(kCbrTcp, &err);
+  ASSERT_TRUE(serial.has_value()) << err.message;
+  auto sharded = serial;
+  sharded->set_shards(4);
+  std::ostringstream a, b;
+  ASSERT_TRUE(serial->run(a));
+  ASSERT_TRUE(sharded->run(b));
+  const std::string pin =
+      "shards=4 requested; tcp flows pin the run to the serial engine\n";
+  ASSERT_EQ(b.str().rfind(pin, 0), 0u) << b.str();
+  EXPECT_EQ(b.str().substr(pin.size()), a.str());
 }
 
 TEST(ScenarioFile, MissingFileIsUsageError) {

@@ -8,7 +8,6 @@
 #include "backbone/fixtures.hpp"
 #include "qos/queues.hpp"
 #include "reference/legacy_source.hpp"
-#include "traffic/dispatcher.hpp"
 #include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
 #include "traffic/source.hpp"
@@ -77,32 +76,6 @@ TEST(OnOffSource, DutyCycleScalesThroughput) {
       static_cast<double>(src.packets_sent()) * 500 * 8 / 4.0;
   EXPECT_GT(mean_bps, 0.6e6);
   EXPECT_LT(mean_bps, 1.4e6);
-}
-
-TEST(FlowDispatcher, RoutesByFlowIdWithDefault) {
-  net::Topology topo;
-  auto& r = topo.add_node<vpn::Router>("r", vpn::Role::kCe);
-  r.add_local_prefix(ip::Prefix::must_parse("10.0.0.0/8"));
-  FlowDispatcher dispatch;
-  dispatch.attach(r);
-  int flow_7 = 0;
-  int fallback = 0;
-  dispatch.register_flow(7, [&](const net::Packet&, vpn::VpnId) { ++flow_7; });
-  dispatch.set_default([&](const net::Packet&, vpn::VpnId) { ++fallback; });
-  for (std::uint32_t id : {7u, 8u, 7u}) {
-    auto p = topo.packet_factory().make();
-    p->flow_id = id;
-    p->ip.dst = ip::Ipv4Address::must_parse("10.0.0.1");
-    r.inject(std::move(p));
-  }
-  EXPECT_EQ(flow_7, 2);
-  EXPECT_EQ(fallback, 1);
-  dispatch.unregister_flow(7);
-  auto p = topo.packet_factory().make();
-  p->flow_id = 7;
-  p->ip.dst = ip::Ipv4Address::must_parse("10.0.0.1");
-  r.inject(std::move(p));
-  EXPECT_EQ(fallback, 2);
 }
 
 /// One packet as the destination CE delivered it: identity, emission
@@ -376,44 +349,65 @@ TEST(MeasurementSink, DenseTableHandlesSparseAndUnknownFlowIds) {
   EXPECT_EQ(sink.leaks(), 1u);
 }
 
-TEST(FlowDispatcher, DefaultRoutesUnclaimedDeliveriesToSink) {
-  // Regression for the mixed cbr+tcp accounting hole: packets whose flow has
-  // no dispatcher registration must still reach the MeasurementSink via the
-  // default handler instead of being silently dropped.
+TEST(MeasurementSink, ClaimedAndMeasuredFlowsShareOneSink) {
+  // One sink per CE: endpoint flows and measured flows terminate at the
+  // same hook, and every delivery lands in exactly one bucket.
   net::Topology topo;
   auto& r = topo.add_node<vpn::Router>("r", vpn::Role::kCe);
   r.add_local_prefix(ip::Prefix::must_parse("10.0.0.0/8"));
   qos::SlaProbe probe;
   MeasurementSink sink(probe, topo.scheduler());
+  sink.bind(r);
   sink.expect_flow(8, qos::Phb::kBe, vpn::kGlobalVpn);
-  FlowDispatcher dispatch;
-  dispatch.attach(r);
   int claimed = 0;
-  dispatch.register_flow(7, [&](const net::Packet&, vpn::VpnId) { ++claimed; });
-  dispatch.set_default([&sink](const net::Packet& p, vpn::VpnId vpn) {
-    sink.on_delivery(p, vpn);
-  });
-  for (std::uint32_t id : {7u, 8u, 9u}) {
+  sink.claim_flow(7, [&](const net::Packet&) { ++claimed; });
+  for (std::uint32_t id : {7u, 8u, 9u, 7u}) {
     auto p = topo.packet_factory().make();
     p->flow_id = id;
     p->ip.dst = ip::Ipv4Address::must_parse("10.0.0.1");
     r.inject(std::move(p));
   }
-  EXPECT_EQ(claimed, 1);
-  EXPECT_EQ(sink.delivered(), 2u);      // flows 8 and 9 fell through
-  EXPECT_EQ(sink.unknown_flows(), 1u);  // 9 had no expectation
+  EXPECT_EQ(claimed, 2);
+  EXPECT_EQ(sink.delivered(), 4u);  // every delivery counts, claimed or not
+  EXPECT_EQ(probe.report(qos::Phb::kBe).delivered_packets, 1u);  // flow 8
+  EXPECT_EQ(sink.unknown_flows(), 1u);  // 9 had no owner
   EXPECT_EQ(sink.leaks(), 0u);
+}
+
+TEST(MeasurementSink, LeakOnClaimedFlowNeverReachesTheEndpoint) {
+  // Isolation is checked before a claimed flow's handler runs: a packet
+  // delivered into the wrong VPN context is a leak, not endpoint input.
+  net::Topology topo;
+  qos::SlaProbe probe;
+  MeasurementSink sink(probe, topo.scheduler());
+  int claimed = 0;
+  sink.claim_flow(7, [&](const net::Packet&) { ++claimed; });
+  auto p = topo.packet_factory().make();
+  p->flow_id = 7;
+  p->true_vpn_id = 3;
+  sink.on_delivery(*p, 4);  // wrong VPN context
+  EXPECT_EQ(claimed, 0);
+  EXPECT_EQ(sink.leaks(), 1u);
+  sink.on_delivery(*p, 3);  // its own VPN
+  EXPECT_EQ(claimed, 1);
+  EXPECT_EQ(sink.leaks(), 1u);
+  EXPECT_EQ(sink.delivered(), 2u);
+  EXPECT_EQ(sink.unknown_flows(), 0u);
 }
 
 struct TcpFixture {
   Figure2Scenario s;
-  FlowDispatcher at_site1;
-  FlowDispatcher at_site2;
+  qos::SlaProbe probe;
+  MeasurementSink at_site1;
+  MeasurementSink at_site2;
 
-  explicit TcpFixture(std::uint64_t seed) : s(make_figure2_scenario(seed)) {
+  explicit TcpFixture(std::uint64_t seed)
+      : s(make_figure2_scenario(seed)),
+        at_site1(probe, s.backbone->topo.scheduler()),
+        at_site2(probe, s.backbone->topo.scheduler()) {
     s.backbone->start_and_converge();
-    at_site1.attach(*s.v1_site1.ce);
-    at_site2.attach(*s.v1_site2.ce);
+    at_site1.bind(*s.v1_site1.ce);
+    at_site2.bind(*s.v1_site2.ce);
   }
 
   TcpLiteFlow::Config config() const {
@@ -482,10 +476,11 @@ TEST(TcpLite, AdaptsToBottleneckAndRecovers) {
   auto a = bb.add_site(v, 0, ip::Prefix::must_parse("10.1.0.0/16"));
   auto b = bb.add_site(v, 1, ip::Prefix::must_parse("10.2.0.0/16"));
   bb.start_and_converge();
-  FlowDispatcher at_a;
-  FlowDispatcher at_b;
-  at_a.attach(*a.ce);
-  at_b.attach(*b.ce);
+  qos::SlaProbe probe;
+  MeasurementSink at_a(probe, bb.topo.scheduler());
+  MeasurementSink at_b(probe, bb.topo.scheduler());
+  at_a.bind(*a.ce);
+  at_b.bind(*b.ce);
 
   TcpLiteFlow::Config c1;
   c1.src = ip::Ipv4Address::must_parse("10.1.0.1");
@@ -545,12 +540,11 @@ TEST(TcpLite, ElasticYieldsToPriorityVoice) {
   classifier->add_rule(voice_rule);
   a.ce->set_classifier(std::move(classifier));
 
-  FlowDispatcher at_a;
-  FlowDispatcher at_b;
-  at_a.attach(*a.ce);
-  at_b.attach(*b.ce);
-
   qos::SlaProbe voice_probe;
+  MeasurementSink at_a(voice_probe, bb.topo.scheduler());
+  MeasurementSink at_b(voice_probe, bb.topo.scheduler());
+  at_a.bind(*a.ce);
+  at_b.bind(*b.ce);
   traffic::FlowSpec voice;
   voice.src = ip::Ipv4Address::must_parse("10.1.0.1");
   voice.dst = ip::Ipv4Address::must_parse("10.2.0.1");
@@ -559,11 +553,7 @@ TEST(TcpLite, ElasticYieldsToPriorityVoice) {
   voice.vpn = v;
   voice.phb = qos::Phb::kEf;
   CbrSource voice_src(*a.ce, voice, 9, &voice_probe, 200e3);
-  at_b.register_flow(9, [&](const net::Packet& p, vpn::VpnId) {
-    voice_probe.record_delivered(qos::Phb::kEf, 9,
-                                 bb.topo.scheduler().now() - p.created_at,
-                                 p.payload_bytes + 28);
-  });
+  at_b.expect_flow(9, qos::Phb::kEf, v);
 
   TcpLiteFlow::Config c;
   c.src = ip::Ipv4Address::must_parse("10.1.0.2");
