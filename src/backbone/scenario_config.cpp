@@ -101,6 +101,37 @@ bool parse_port_range(const std::string& s, std::uint16_t& lo,
   return true;
 }
 
+/// The comma-separated numbers after a core queue spec's "kind:" (none
+/// without a colon); nullopt when any of them is not a number.
+std::optional<std::vector<double>> spec_args(const std::string& spec) {
+  std::vector<double> args;
+  const auto colon = spec.find(':');
+  if (colon == std::string::npos) return args;
+  std::istringstream ws(spec.substr(colon + 1));
+  std::string w;
+  while (std::getline(ws, w, ',')) {
+    double d = 0;
+    if (!to_double(w, d)) return std::nullopt;
+    args.push_back(d);
+  }
+  return args;
+}
+
+/// Whether red_params_for / queue_factory_for can build `spec`: "fifo",
+/// "prio", "red[:min,max,maxp]", "wfq[:w,...]" with weights > 0, or
+/// "drr[:w,...]" with weights >= 1.
+bool valid_core_queue(const std::string& spec) {
+  const std::string kind = spec.substr(0, spec.find(':'));
+  const auto args = spec_args(spec);
+  if (!args) return false;
+  if (kind == "fifo" || kind == "prio") return spec == kind;
+  if (kind == "red") return args->size() <= 3;
+  if (kind != "wfq" && kind != "drr") return false;
+  return std::all_of(args->begin(), args->end(), [&](double w) {
+    return kind == "drr" ? w >= 1 : w > 0;
+  });
+}
+
 /// RED profile for "red" / "red:min,max,maxp" core specs; nullopt for any
 /// other discipline. RED queues are not built through the QueueDiscFactory
 /// (it carries no arguments): they need a clock and a per-node RNG, so the
@@ -110,43 +141,26 @@ std::optional<qos::RedParams> red_params_for(const std::string& spec,
   if (spec != "red" && spec.rfind("red:", 0) != 0) return std::nullopt;
   qos::RedParams rp;
   rp.bandwidth_bps = core_bw_bps;
-  const auto colon = spec.find(':');
-  if (colon != std::string::npos) {
-    std::istringstream ws(spec.substr(colon + 1));
-    std::string w;
-    std::vector<double> v;
-    double d = 0;
-    while (std::getline(ws, w, ',')) {
-      if (to_double(w, d)) v.push_back(d);
-    }
-    if (!v.empty()) rp.min_th = v[0];
-    if (v.size() > 1) rp.max_th = v[1];
-    if (v.size() > 2) rp.max_p = v[2];
-  }
+  const std::vector<double> v = spec_args(spec).value();
+  if (!v.empty()) rp.min_th = v[0];
+  if (v.size() > 1) rp.max_th = v[1];
+  if (v.size() > 2) rp.max_p = v[2];
   return rp;
 }
 
-/// Build a core queue factory from "fifo", "prio", "wfq:8,3,1", "drr:8,3,1".
-/// ("red" specs return the default factory; see red_params_for.)
+/// Build a core queue factory from "fifo", "prio", "wfq:8,3,1", "drr:8,3,1"
+/// (a spec valid_core_queue accepted). "red" specs return the default
+/// factory; see red_params_for.
 net::QueueDiscFactory queue_factory_for(const std::string& spec) {
-  if (spec == "fifo" || spec.empty()) return {};
+  if (spec == "fifo") return {};
   if (spec == "prio") {
     return [] {
       return std::make_unique<qos::PriorityQueueDisc>(
           3, 100, qos::ef_af_be_selector());
     };
   }
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  std::vector<double> weights;
-  if (colon != std::string::npos) {
-    std::istringstream ws(spec.substr(colon + 1));
-    std::string w;
-    while (std::getline(ws, w, ',')) {
-      double v;
-      if (to_double(w, v)) weights.push_back(v);
-    }
-  }
+  const std::string kind = spec.substr(0, spec.find(':'));
+  std::vector<double> weights = spec_args(spec).value();
   if (weights.empty()) weights = {8, 3, 1};
   if (kind == "wfq") {
     return [weights] {
@@ -294,7 +308,12 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
           return fail(line_no, "bad rr=");
         }
       }
-      if (auto v = kv("core_queue")) sc.core_queue_spec_ = *v;
+      if (auto v = kv("core_queue")) {
+        if (!valid_core_queue(*v)) {
+          return fail(line_no, "bad core_queue= " + *v);
+        }
+        sc.core_queue_spec_ = *v;
+      }
     } else if (line.directive == "vpn") {
       if (line.positional.size() != 1) {
         return fail(line_no, "vpn needs exactly one name");
@@ -355,9 +374,14 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         PoliceDecl p;
         p.site = site;
         p.phb = phb;
-        if (auto v = kv("cir")) to_double(*v, p.cir);
-        if (auto v = kv("cbs")) to_double(*v, p.cbs);
-        if (auto v = kv("ebs")) to_double(*v, p.ebs);
+        for (auto [key, out] : {std::pair{"cir", &p.cir},
+                                std::pair{"cbs", &p.cbs},
+                                std::pair{"ebs", &p.ebs}}) {
+          auto v = kv(key);
+          if (v && !to_double(*v, *out)) {
+            return fail(line_no, std::string("bad ") + key + "=");
+          }
+        }
         if (p.cir <= 0 || p.cbs <= 0 || p.ebs <= 0) {
           return fail(line_no, "police needs cir=, cbs=, ebs= > 0");
         }
@@ -366,8 +390,14 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         ShapeDecl s;
         s.site = site;
         s.phb = phb;
-        if (auto v = kv("rate")) to_double(*v, s.rate);
-        if (auto v = kv("burst")) to_double(*v, s.burst);
+        if (auto v = kv("rate")) {
+          if (!to_double(*v, s.rate)) return fail(line_no, "bad rate=");
+        }
+        if (auto v = kv("burst")) {
+          if (!to_double(*v, s.burst) || s.burst < 0) {
+            return fail(line_no, "bad burst=");
+          }
+        }
         if (s.rate <= 0) return fail(line_no, "shape needs rate= > 0");
         sc.shapes_.push_back(s);
       }
@@ -393,8 +423,16 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
       if (auto x = kv("rate")) {
         if (!to_double(*x, f.rate)) return fail(line_no, "bad rate=");
       }
-      if (auto x = kv("on")) to_double(*x, f.on_s);
-      if (auto x = kv("off")) to_double(*x, f.off_s);
+      if (auto x = kv("on")) {
+        if (!to_double(*x, f.on_s) || f.on_s < 0) {
+          return fail(line_no, "bad on=");
+        }
+      }
+      if (auto x = kv("off")) {
+        if (!to_double(*x, f.off_s) || f.off_s < 0) {
+          return fail(line_no, "bad off=");
+        }
+      }
       if (auto x = kv("class")) {
         auto phb = phb_by_name(*x);
         if (!phb) return fail(line_no, "unknown class= " + *x);

@@ -92,6 +92,7 @@ struct ObsOptions {
 ///
 ///   backbone p=2 pe=2 core_bw=4e6 edge_bw=20e6 seed=7 bgp=mesh
 ///            core_queue=wfq:8,3,1          # fifo | prio | wfq:w,... | drr:w,...
+///                                          # | red[:min,max,maxp]
 ///
 /// Or, instead of hand-written backbone/vpn/site/flow lines, a generated
 /// ISP-scale topology (see backbone/topogen.hpp for the parameters):
@@ -126,8 +127,10 @@ struct ObsOptions {
 /// one traffic::FlowSet per engine lane.
 ///
 /// Each directive accepts exactly the keys listed above (`premark=1` on a
-/// flow line writes the class DSCP at the host); an unknown key or a stray
-/// bare token fails the parse with its line number.
+/// flow line writes the class DSCP at the host); an unknown key, a stray
+/// bare token or a malformed value (a non-number, a negative on/off time or
+/// burst, a core queue spec that names an unknown kind or carries a bad
+/// weight or threshold) fails the parse with its line number.
 struct ScenarioError {
   std::size_t line = 0;
   std::string message;

@@ -184,6 +184,8 @@ void register_control_metrics(const routing::ControlPlane& cp,
   reg.add_gauge("control/bgp/adj_rib_bytes", [b] {
     return static_cast<double>(b->adj_rib_bytes());
   });
+  reg.add_gauge("control/bgp/rt_filtered",
+                [b] { return static_cast<double>(b->rt_filtered()); });
   reg.add_gauge("control/bgp/rt_pool_sets",
                 [b] { return static_cast<double>(b->rt_pool().size()); });
   reg.add_gauge("control/spf/runs",

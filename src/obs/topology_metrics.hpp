@@ -54,6 +54,7 @@ void register_engine_metrics(const net::ShardRuntime& runtime,
 ///                                           RibOut staging counters
 ///   control/bgp/{adj_rib_routes,adj_rib_bytes,rt_pool_sets}
 ///                                           compact RIB occupancy
+///   control/bgp/rt_filtered                 NLRI dropped by RT filtering
 ///   control/spf/{runs,full,incremental,skipped,te_only_installs,
 ///                edges_relaxed}             SPF work accounting
 ///

@@ -25,6 +25,62 @@ void Bgp::add_route_reflector(ip::NodeId rr) {
   reflectors_.push_back(rr);
 }
 
+void Bgp::enable_rt_filter(ip::NodeId pe) {
+  if (started_) throw std::logic_error("Bgp: enable_rt_filter after start");
+  state_.at(pe).rt_filter = true;
+}
+
+void Bgp::add_import_targets(ip::NodeId pe,
+                             const std::vector<RouteTarget>& rts) {
+  SpeakerState& st = state_.at(pe);
+  bool grew = false;
+  for (const RouteTarget& rt : rts) {
+    auto it = std::lower_bound(st.imports.begin(), st.imports.end(), rt);
+    if (it != st.imports.end() && *it == rt) continue;
+    st.imports.insert(it, rt);
+    grew = true;
+  }
+  if (!grew) return;
+  st.verdict.clear();
+  if (!started_ || !st.rt_filter || st.reflector) return;
+  // Route refresh (RFC 2918): the peers hold routes this speaker dropped
+  // while it did not import their targets.
+  for (ip::NodeId peer : st.peers) {
+    cp_.send_session(pe, peer, "bgp.refresh", kRouteRefreshBytes,
+                     [this, peer, pe] { answer_refresh(peer, pe); });
+  }
+}
+
+bool Bgp::accepts(SpeakerState& st, std::uint16_t rt_set) {
+  if (!st.rt_filter || st.reflector) return true;
+  if (rt_set >= st.verdict.size()) st.verdict.resize(pool_.size(), kUnknown);
+  std::uint8_t& v = st.verdict[rt_set];
+  if (v == kUnknown) {
+    const std::vector<RouteTarget>& rts = pool_.get(rt_set);
+    const bool hit = std::any_of(rts.begin(), rts.end(), [&](const auto& rt) {
+      return std::binary_search(st.imports.begin(), st.imports.end(), rt);
+    });
+    v = hit ? kAccept : kReject;
+  }
+  return v == kAccept;
+}
+
+void Bgp::answer_refresh(ip::NodeId at, ip::NodeId requester) {
+  const SpeakerState& st = state_.at(at);
+  const auto& peers = st.peers;
+  const auto& back = state_.at(requester).peers;
+  // The session may have died while the request was in flight.
+  if (std::find(peers.begin(), peers.end(), requester) == peers.end() ||
+      std::find(back.begin(), back.end(), at) == back.end()) {
+    return;
+  }
+  for (const auto& [key, best] : st.loc_rib) {
+    if (advertises(st, best.sender, requester)) {
+      propagate(at, {requester}, key, &best.route);
+    }
+  }
+}
+
 bool Bgp::is_reflector(ip::NodeId node) const {
   auto it = state_.find(node);
   return it != state_.end() && it->second.reflector;
@@ -76,23 +132,22 @@ bool Bgp::better_compact(const CompactRoute& a, const CompactRoute& b) noexcept 
   return a.next_hop < b.next_hop;
 }
 
+bool Bgp::advertises(const SpeakerState& st, ip::NodeId sender,
+                     ip::NodeId peer) const {
+  // Locally originated: advertise to every peer.
+  if (sender == ip::kInvalidNode) return true;
+  // Plain iBGP never re-advertises. RR rules: client routes reflect
+  // everywhere else; non-client routes reflect to clients only.
+  return st.reflector && peer != sender &&
+         (!is_reflector(sender) || !is_reflector(peer));
+}
+
 std::vector<ip::NodeId> Bgp::advertise_targets(ip::NodeId node,
                                                ip::NodeId sender) const {
   const SpeakerState& st = state_.at(node);
   std::vector<ip::NodeId> out;
-  if (sender == ip::kInvalidNode) {
-    // Locally originated: advertise to every peer.
-    out = st.peers;
-    return out;
-  }
-  if (!st.reflector) return out;  // plain iBGP: never re-advertise
-  const bool from_client = !is_reflector(sender);
   for (ip::NodeId peer : st.peers) {
-    if (peer == sender) continue;
-    const bool peer_is_client = !is_reflector(peer);
-    // RR rules: client routes reflect everywhere else; non-client routes
-    // reflect to clients only.
-    if (from_client || peer_is_client) out.push_back(peer);
+    if (advertises(st, sender, peer)) out.push_back(peer);
   }
   return out;
 }
@@ -101,7 +156,9 @@ void Bgp::send_update(ip::NodeId from, ip::NodeId to, const VpnRoute& route) {
   VpnRoute copy = route;
   cp_.send_session(from, to, "bgp.update", route.wire_bytes(),
                    [this, to, from, copy = std::move(copy)] {
-                     receive_update(to, from, copy);
+                     receive_update(state_.at(to), to, from,
+                                    VpnRouteKey{copy.rd, copy.prefix},
+                                    compress(copy, pool_));
                    });
 }
 
@@ -161,11 +218,12 @@ void Bgp::flush(ip::NodeId node) {
 
 void Bgp::apply_packed(ip::NodeId at, ip::NodeId from,
                        const std::vector<RibOut::Entry>& entries) {
+  SpeakerState& st = state_.at(at);
   for (const RibOut::Entry& e : entries) {
     if (e.withdraw) {
       receive_withdraw(at, from, e.key);
     } else {
-      receive_update(at, from, materialize(e.key, e.route, pool_));
+      receive_update(st, at, from, e.key, e.route);
     }
   }
 }
@@ -186,11 +244,15 @@ void Bgp::withdraw(ip::NodeId pe, const RouteDistinguisher& rd,
   decide(pe, key);
 }
 
-void Bgp::receive_update(ip::NodeId at, ip::NodeId from, VpnRoute route) {
-  SpeakerState& st = state_.at(at);
+void Bgp::receive_update(SpeakerState& st, ip::NodeId at, ip::NodeId from,
+                         const VpnRouteKey& key, const CompactRoute& route) {
   if (route.originator == at) return;  // originator loop guard
-  const VpnRouteKey key{route.rd, route.prefix};
-  st.adj_rib_in.upsert(key, from, compress(route, pool_));
+  if (!accepts(st, route.rt_set)) {
+    ++rt_filtered_;
+    if (st.adj_rib_in.erase(key, from)) decide(at, key);
+    return;
+  }
+  st.adj_rib_in.upsert(key, from, route);
   decide(at, key);
 }
 
@@ -229,9 +291,8 @@ void Bgp::decide(ip::NodeId node, const VpnRouteKey& key) {
     return;
   }
 
-  VpnRoute best_route = materialize(key, *new_best, pool_);
   if (loc_it == st.loc_rib.end()) {
-    SpeakerState::Best fresh{std::move(best_route), new_sender};
+    SpeakerState::Best fresh{materialize(key, *new_best, pool_), new_sender};
     loc_it = st.loc_rib.emplace(key, std::move(fresh)).first;
   } else {
     SpeakerState::Best& cur = loc_it->second;
@@ -241,21 +302,19 @@ void Bgp::decide(ip::NodeId node, const VpnRouteKey& key) {
       // from it must drop the route, or two reflectors keep each other's
       // copies alive after the origin withdraws.
       std::vector<ip::NodeId> stale = advertise_targets(node, cur.sender);
-      const std::vector<ip::NodeId> kept =
-          advertise_targets(node, new_sender);
-      std::erase_if(stale, [&kept](ip::NodeId peer) {
-        return std::find(kept.begin(), kept.end(), peer) != kept.end();
+      std::erase_if(stale, [&](ip::NodeId peer) {
+        return advertises(st, new_sender, peer);
       });
       cur.sender = new_sender;
       propagate(node, std::move(stale), key, nullptr);
     }
-    if (cur.route.next_hop == best_route.next_hop &&
-        cur.route.vpn_label == best_route.vpn_label &&
-        cur.route.originator == best_route.originator &&
-        cur.route.route_targets == best_route.route_targets) {
+    if (cur.route.next_hop.value() == new_best->next_hop &&
+        cur.route.vpn_label == new_best->vpn_label &&
+        cur.route.originator == new_best->originator &&
+        cur.route.route_targets == pool_.get(new_best->rt_set)) {
       return;  // same path
     }
-    cur.route = std::move(best_route);
+    cur.route = materialize(key, *new_best, pool_);
   }
   const VpnRoute& stored = loc_it->second.route;
   for (const auto& cb : observers_) cb(node, stored, false);

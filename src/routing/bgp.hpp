@@ -20,6 +20,13 @@ namespace mvpn::routing {
 /// the scalability story (experiments E1/E7 count its sessions, messages
 /// and per-node state).
 ///
+/// Speakers enrolled with enable_rt_filter() (the VPN service's PEs)
+/// filter inbound routes by route target: they keep, decide and report
+/// only the routes that carry a target they import, plus their own
+/// originations, and send a ROUTE-REFRESH when their import set grows
+/// after start() (INTERNALS.md §15.5). Reflectors and unenrolled speakers
+/// keep every route.
+///
 /// Two emission paths, byte-identical in final routing state:
 ///  * packed (default) — advertisements and withdraws stage through a
 ///    per-speaker RibOut (update groups keyed by export-policy peer set),
@@ -39,6 +46,15 @@ class Bgp {
   /// Enroll a route reflector (RR mode only; RRs full-mesh among
   /// themselves and serve every speaker as a client).
   void add_route_reflector(ip::NodeId rr);
+
+  /// Make `pe` a route-target filtering speaker (before start()). Its
+  /// import set starts empty: until add_import_targets() it keeps only its
+  /// own originations. A reflector never filters.
+  void enable_rt_filter(ip::NodeId pe);
+  /// Add `rts` to `pe`'s import set. When the set grows after start(), a
+  /// filtering `pe` sends one ROUTE-REFRESH to each peer, and each peer
+  /// re-advertises to it every Loc-RIB route it would advertise to it.
+  void add_import_targets(ip::NodeId pe, const std::vector<RouteTarget>& rts);
 
   /// Establish all sessions per the mode (counts OPEN exchanges).
   void start();
@@ -74,6 +90,8 @@ class Bgp {
   [[nodiscard]] std::size_t session_count() const noexcept {
     return sessions_.size();
   }
+  /// Loc-RIB entries at `node`: at a filtering speaker, only the routes
+  /// it accepted (an RT it imports) and its own originations.
   [[nodiscard]] std::size_t loc_rib_size(ip::NodeId node) const;
   [[nodiscard]] std::size_t adj_rib_in_size(ip::NodeId node) const;
   [[nodiscard]] const VpnRoute* best(ip::NodeId node, const VpnRouteKey& key)
@@ -92,6 +110,10 @@ class Bgp {
   /// plus the shared RT pool) — the B/route the churn bench budgets.
   [[nodiscard]] std::size_t adj_rib_bytes() const;
   [[nodiscard]] std::size_t adj_rib_routes() const;
+  /// Received NLRI that route-target filtering dropped on arrival.
+  [[nodiscard]] std::uint64_t rt_filtered() const noexcept {
+    return rt_filtered_;
+  }
 
  private:
   struct SpeakerState {
@@ -108,17 +130,34 @@ class Bgp {
       ip::NodeId sender = ip::kInvalidNode;
     };
     std::map<VpnRouteKey, Best> loc_rib;
+    /// Route-target filter: the sorted import set, and per interned RT-set
+    /// id its verdict (kUnknown until first seen, reset when the set grows).
+    bool rt_filter = false;
+    std::vector<RouteTarget> imports;
+    std::vector<std::uint8_t> verdict;
   };
+  enum : std::uint8_t { kUnknown = 0, kAccept = 1, kReject = 2 };
 
   void add_session(ip::NodeId a, ip::NodeId b);
-  void receive_update(ip::NodeId at, ip::NodeId from, VpnRoute route);
+  /// Take `route` into `at`'s (state `st`) Adj-RIB-In, or, when `at`
+  /// filters it out, drop it as an implicit withdraw of `from`'s earlier
+  /// offer for `key`.
+  void receive_update(SpeakerState& st, ip::NodeId at, ip::NodeId from,
+                      const VpnRouteKey& key, const CompactRoute& route);
   void receive_withdraw(ip::NodeId at, ip::NodeId from, VpnRouteKey key);
+  /// Whether `st` keeps routes carrying RT set `rt_set`.
+  bool accepts(SpeakerState& st, std::uint16_t rt_set);
+  /// Re-advertise to `requester` what `at` would advertise to it.
+  void answer_refresh(ip::NodeId at, ip::NodeId requester);
   /// Re-run best-path selection for `key` at `node`; propagate on change.
   void decide(ip::NodeId node, const VpnRouteKey& key);
   /// Peers `node` must advertise to when its best for a key came from
   /// `sender` (kInvalidNode = locally originated).
   [[nodiscard]] std::vector<ip::NodeId> advertise_targets(
       ip::NodeId node, ip::NodeId sender) const;
+  /// Whether that advertise set includes `peer` (one of `node`'s peers).
+  [[nodiscard]] bool advertises(const SpeakerState& st, ip::NodeId sender,
+                                ip::NodeId peer) const;
   /// Route the (re-)advertisement or withdraw (`route` null) of `key` to
   /// `targets` through the RibOut (packed) or straight to per-peer
   /// messages (legacy).
@@ -144,6 +183,7 @@ class Bgp {
   std::vector<RouteObserver> observers_;
   RtSetPool pool_;
   RibOut ribout_;
+  std::uint64_t rt_filtered_ = 0;
   bool packing_ = true;
   bool started_ = false;
 };

@@ -68,6 +68,10 @@ using VpnRouteKey = std::pair<RouteDistinguisher, ip::Prefix>;
 /// update packer amortizes across many NLRI.
 inline constexpr std::size_t kBgpHeaderBytes = 19;
 
+/// ROUTE-REFRESH message size (RFC 2918 §3): header + AFI (2 B) + reserved
+/// (1 B) + SAFI (1 B).
+inline constexpr std::size_t kRouteRefreshBytes = kBgpHeaderBytes + 4;
+
 /// On-the-wire size of one labeled VPN-IPv4 NLRI (RFC 3107 §3 piggybacked
 /// label + RFC 4364 RD): 8 B RD + 1 B length octet + 3 B label stack entry
 /// + the packed prefix bytes.

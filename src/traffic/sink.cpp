@@ -33,6 +33,12 @@ void MeasurementSink::on_delivery(const net::Packet& p, vpn::VpnId vpn) {
   if (p.flow_id < flows_.size()) {
     const Expected& e = flows_[p.flow_id];
     if (e.owner == Owner::kProbe) {
+      // A measured flow delivered into a VPN other than the one it was
+      // registered for leaked, however its packets were stamped.
+      if (e.vpn != vpn) {
+        leaks_.add();
+        return;
+      }
       const sim::SimTime latency = clock_.now() - p.created_at;
       const std::size_t bytes =
           net::kIpv4HeaderBytes + net::kL4HeaderBytes + p.payload_bytes;

@@ -15,7 +15,8 @@ namespace mvpn::traffic {
 /// delivery is checked for VPN isolation first (ground-truth `true_vpn_id`
 /// vs the VPN context that delivered the packet — any mismatch is a leak,
 /// experiment E6). An isolated packet then goes to its flow's owner: the
-/// SlaProbe for measured flows (expect_flow), an endpoint handler for
+/// SlaProbe for measured flows (expect_flow; a delivery into a VPN other
+/// than the flow's expected one is a leak too), an endpoint handler for
 /// claimed ones (claim_flow, e.g. both ends of a TcpLiteFlow), or the
 /// unknown-flow count.
 ///
@@ -47,8 +48,9 @@ class MeasurementSink {
   [[nodiscard]] std::uint64_t delivered() const noexcept {
     return delivered_.value();
   }
-  /// Packets delivered into a VPN context other than the sender's — the
-  /// isolation property requires this to be zero, always.
+  /// Packets delivered into a VPN context other than the sender's, or, for
+  /// a measured flow, other than its expected VPN — the isolation property
+  /// requires this to be zero, always.
   [[nodiscard]] std::uint64_t leaks() const noexcept { return leaks_.value(); }
   [[nodiscard]] std::uint64_t unknown_flows() const noexcept {
     return unknown_.value();

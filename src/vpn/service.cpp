@@ -1,5 +1,6 @@
 #include "vpn/service.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mvpn::vpn {
@@ -30,6 +31,7 @@ void MplsVpnService::add_provider_router(Router& r) {
   r.set_ldp(&ldp_);
   if (r.role() == Role::kPe) {
     bgp_.add_speaker(r.id());
+    bgp_.enable_rt_filter(r.id());
     pes_.push_back(r.id());
   }
 }
@@ -78,7 +80,29 @@ Vrf& MplsVpnService::ensure_vrf(Router& pe, VpnId vpn) {
   entry.op = mpls::LabelOp::kPopDeliver;
   entry.vrf_id = vpn;
   lsr.lfib.install(entry);
+
+  // The PE keeps only the routes its VRFs import (§4.2). A VRF created
+  // after start also takes the matching routes already in the Loc-RIB; the
+  // ones the PE filtered out come back through the route refresh.
+  bgp_.add_import_targets(pe.id(), vrf.config().import_targets);
+  if (started_) {
+    for (const routing::VpnRoute& route : bgp_.loc_rib(pe.id())) {
+      if (route.next_hop_node == pe.id() || !vrf.imports(route)) continue;
+      install_route(vrf, route);
+      imported_[pe.id()][{route.rd, route.prefix}].push_back(vpn);
+    }
+  }
   return vrf;
+}
+
+void MplsVpnService::install_route(Vrf& vrf, const routing::VpnRoute& route) {
+  ip::RouteEntry entry;
+  entry.prefix = route.prefix;
+  entry.source = ip::RouteSource::kVpn;
+  entry.admin_distance = ip::default_admin_distance(ip::RouteSource::kVpn);
+  entry.vpn_label = route.vpn_label;
+  entry.egress_pe = route.next_hop_node;
+  vrf.table().install(entry);
 }
 
 void MplsVpnService::add_site(VpnId vpn, Router& pe, Router& ce,
@@ -216,37 +240,39 @@ void MplsVpnService::import_route(ip::NodeId at,
   last_route_change_at_ = cp_.now();
   const routing::VpnRouteKey key{route.rd, route.prefix};
 
-  if (withdrawn) {
-    auto node_it = imported_.find(at);
-    if (node_it == imported_.end()) return;
-    auto key_it = node_it->second.find(key);
-    if (key_it == node_it->second.end()) return;
+  if (!withdrawn && route.next_hop_node == at) return;  // own origination
+  std::vector<VpnId> importers;
+  if (!withdrawn) {
+    for (Vrf* vrf : pe.vrfs()) {
+      if (!vrf->imports(route)) continue;
+      install_route(*vrf, route);
+      importers.push_back(vrf->vpn_id());
+    }
+  }
+  // VRFs that imported the previous best but not this one (or any, on a
+  // withdraw) drop the route.
+  auto& by_key = imported_[at];
+  auto key_it = by_key.find(key);
+  if (key_it != by_key.end()) {
     for (VpnId vpn : key_it->second) {
-      if (Vrf* vrf = pe.vrf_by_vpn(vpn)) {
-        const ip::RouteEntry* cur = vrf->table().find(route.prefix);
-        // Never remove a locally connected site route.
-        if (cur != nullptr && cur->source == ip::RouteSource::kVpn) {
-          vrf->table().remove(route.prefix);
-        }
+      Vrf* vrf = pe.vrf_by_vpn(vpn);
+      if (vrf == nullptr || std::find(importers.begin(), importers.end(),
+                                      vpn) != importers.end()) {
+        continue;
+      }
+      const ip::RouteEntry* cur = vrf->table().find(route.prefix);
+      // Never remove a locally connected site route.
+      if (cur != nullptr && cur->source == ip::RouteSource::kVpn) {
+        vrf->table().remove(route.prefix);
       }
     }
-    node_it->second.erase(key_it);
-    return;
-  }
-
-  if (route.next_hop_node == at) return;  // our own origination
-  std::vector<VpnId>& importers = imported_[at][key];
-  importers.clear();
-  for (Vrf* vrf : pe.vrfs()) {
-    if (!vrf->imports(route)) continue;
-    ip::RouteEntry entry;
-    entry.prefix = route.prefix;
-    entry.source = ip::RouteSource::kVpn;
-    entry.admin_distance = ip::default_admin_distance(ip::RouteSource::kVpn);
-    entry.vpn_label = route.vpn_label;
-    entry.egress_pe = route.next_hop_node;
-    vrf->table().install(entry);
-    importers.push_back(vrf->vpn_id());
+    if (importers.empty()) {
+      by_key.erase(key_it);
+    } else {
+      key_it->second = std::move(importers);
+    }
+  } else if (!importers.empty()) {
+    by_key.emplace(key, std::move(importers));
   }
 }
 

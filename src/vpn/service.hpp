@@ -112,6 +112,7 @@ class MplsVpnService {
   };
 
   Vrf& ensure_vrf(Router& pe, VpnId vpn);
+  static void install_route(Vrf& vrf, const routing::VpnRoute& route);
   void import_route(ip::NodeId at, const routing::VpnRoute& route,
                     bool withdrawn);
 
@@ -129,6 +130,7 @@ class MplsVpnService {
   std::vector<ip::NodeId> pes_;
   std::vector<PendingRoute> pending_;
   /// Which VPN ids imported each (pe, key) — needed to undo on withdraw.
+  /// Only keys some VRF imported have an entry.
   std::map<ip::NodeId, std::map<routing::VpnRouteKey, std::vector<VpnId>>>
       imported_;
   sim::SimTime last_route_change_at_ = 0;

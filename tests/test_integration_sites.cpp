@@ -280,6 +280,31 @@ TEST(Integration, TeLspFailoverKeepsVpnTrafficFlowing) {
   EXPECT_EQ(sink.leaks(), 0u);
 }
 
+/// Stitching after start: each ASBR had no VRF for the VPN, so it dropped
+/// the VPN's routes on arrival; the route refresh its new VRF triggers
+/// brings them back, and they cross the boundary both ways.
+TEST(Integration, InterAsStitchAfterStartCarriesConvergedRoutes) {
+  backbone::TwoProviderBackbone bb(71);
+  const vpn::VpnId va = bb.service_a.create_vpn("corp");
+  const vpn::VpnId vb = bb.service_b.create_vpn("corp");
+  bb.add_site_a(va, ip::Prefix::must_parse("10.1.0.0/16"));
+  bb.add_site_b(vb, ip::Prefix::must_parse("10.2.0.0/16"));
+  bb.start_and_converge();
+  EXPECT_EQ(bb.bgp_a.loc_rib_size(bb.asbr_a->id()), 0u);
+
+  bb.peering->stitch(va, vb);
+  bb.topo.scheduler().run();
+  EXPECT_GT(bb.cp.message_count("bgp.refresh"), 0u);
+  const ip::RouteEntry* at_b = bb.pe_b->vrf_by_vpn(vb)->table().lookup(
+      ip::Ipv4Address::must_parse("10.1.0.1"));
+  ASSERT_NE(at_b, nullptr);
+  EXPECT_EQ(at_b->egress_pe, bb.asbr_b->id());
+  const ip::RouteEntry* at_a = bb.pe_a->vrf_by_vpn(va)->table().lookup(
+      ip::Ipv4Address::must_parse("10.2.0.1"));
+  ASSERT_NE(at_a, nullptr);
+  EXPECT_EQ(at_a->egress_pe, bb.asbr_a->id());
+}
+
 /// Inter-provider VPN (paper §5: "building VPNs using multiple carriers"):
 /// a VPN spans two providers joined by an option-A ASBR peering; traffic
 /// crosses the boundary, isolation holds, and a leave in one provider

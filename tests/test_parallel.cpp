@@ -324,7 +324,7 @@ TEST(Partitioner, PlanIsDeterministic) {
 // --- End-to-end determinism: serial vs sharded scenario runs --------------
 
 constexpr const char* kDeterminismScenario = R"(
-backbone p=4 pe=8 seed=11 core_queue=prio:3
+backbone p=4 pe=8 seed=11 core_queue=prio
 vpn corp
 vpn partner
 site corp pe=0 prefix=10.1.0.0/16

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "net/topology.hpp"
 #include "routing/bgp.hpp"
 #include "routing/control_plane.hpp"
@@ -736,9 +738,13 @@ TEST(Bgp, LegacyWithdrawBytesMatchDerivedSize) {
 namespace {
 /// Drive the same announce/withdraw/flap/failover script against a
 /// fresh RR fabric and return every speaker's Loc-RIB for comparison.
+/// With `filter`, client n filters by route target, importing RT n % 3 + 1,
+/// also originates the single-homed 10.(100 + n)/16 with that RT, and after
+/// the script client 3 also imports RT 2 (a late join).
 std::vector<std::vector<VpnRoute>> rr_script_ribs(bool packed,
                                                   std::uint64_t* messages,
-                                                  std::uint64_t* events) {
+                                                  std::uint64_t* events,
+                                                  bool filter = false) {
   BgpFixture f;
   Bgp bgp(f.cp, Bgp::Mode::kRouteReflector);
   constexpr ip::NodeId kClients = 6;
@@ -750,7 +756,19 @@ std::vector<std::vector<VpnRoute>> rr_script_ribs(bool packed,
   bgp.add_route_reflector(kClients);
   bgp.add_route_reflector(kClients + 1);
   bgp.set_packing(packed);
+  if (filter) {
+    for (ip::NodeId n = 0; n < kClients; ++n) {
+      bgp.enable_rt_filter(n);
+      bgp.add_import_targets(n, {RouteTarget{65000, n % 3 + 1}});
+    }
+  }
   bgp.start();
+  if (filter) {
+    for (ip::NodeId n = 0; n < kClients; ++n) {
+      const std::string prefix = "10." + std::to_string(100 + n) + ".0.0/16";
+      bgp.originate(n, f.route(n % 3 + 1, prefix.c_str(), n));
+    }
+  }
 
   // Multihomed prefixes, flaps, a withdraw, and a mid-stream failure.
   for (ip::NodeId n = 0; n < kClients; ++n) {
@@ -785,6 +803,10 @@ std::vector<std::vector<VpnRoute>> rr_script_ribs(bool packed,
     EXPECT_EQ(bgp.best(n, gone), nullptr)
         << "speaker " << n << (packed ? " (packed)" : " (legacy)");
   }
+  if (filter) {
+    bgp.add_import_targets(3, {RouteTarget{65000, 2}});
+    f.topo.scheduler().run();
+  }
 
   if (messages != nullptr) {
     *messages = f.cp.message_count("bgp.update") +
@@ -797,12 +819,9 @@ std::vector<std::vector<VpnRoute>> rr_script_ribs(bool packed,
   }
   return ribs;
 }
-}  // namespace
 
-TEST(Bgp, PackedAndLegacyConvergeToIdenticalRibs) {
-  std::uint64_t packed_msgs = 0, legacy_msgs = 0;
-  const auto packed = rr_script_ribs(true, &packed_msgs, nullptr);
-  const auto legacy = rr_script_ribs(false, &legacy_msgs, nullptr);
+void expect_identical_ribs(const std::vector<std::vector<VpnRoute>>& packed,
+                           const std::vector<std::vector<VpnRoute>>& legacy) {
   ASSERT_EQ(packed.size(), legacy.size());
   for (std::size_t n = 0; n < packed.size(); ++n) {
     ASSERT_EQ(packed[n].size(), legacy[n].size()) << "speaker " << n;
@@ -815,10 +834,119 @@ TEST(Bgp, PackedAndLegacyConvergeToIdenticalRibs) {
       EXPECT_EQ(a.vpn_label, b.vpn_label) << "speaker " << n;
       EXPECT_EQ(a.local_pref, b.local_pref) << "speaker " << n;
       EXPECT_EQ(a.originator, b.originator) << "speaker " << n;
+      EXPECT_EQ(a.route_targets, b.route_targets) << "speaker " << n;
     }
   }
+}
+}  // namespace
+
+TEST(Bgp, PackedAndLegacyConvergeToIdenticalRibs) {
+  std::uint64_t packed_msgs = 0, legacy_msgs = 0;
+  const auto packed = rr_script_ribs(true, &packed_msgs, nullptr);
+  const auto legacy = rr_script_ribs(false, &legacy_msgs, nullptr);
+  expect_identical_ribs(packed, legacy);
   // Packing exists to shrink the message count, not just match state.
   EXPECT_LT(packed_msgs, legacy_msgs);
+}
+
+TEST(Bgp, PackedAndLegacyAgreeUnderRouteTargetFiltering) {
+  const auto packed = rr_script_ribs(true, nullptr, nullptr, true);
+  const auto legacy = rr_script_ribs(false, nullptr, nullptr, true);
+  expect_identical_ribs(packed, legacy);
+  // Of the single-homed prefixes, a live client holds the other clients'
+  // whose RT it imports (RT n % 3 + 1, plus RT 2 at client 3 after its late
+  // join); the reflectors (6, 7) hold every live client's. Client 1 failed.
+  for (ip::NodeId n = 0; n < 8; ++n) {
+    if (n == 1) continue;
+    std::set<ip::NodeId> seen;
+    for (const VpnRoute& r : packed[n]) {
+      const auto octet =
+          static_cast<ip::NodeId>((r.prefix.address().value() >> 16) & 0xFF);
+      if (octet >= 100 && r.originator != n) seen.insert(octet - 100);
+    }
+    std::set<ip::NodeId> expected;
+    for (ip::NodeId origin = 0; origin < 6; ++origin) {
+      const ip::NodeId rt = origin % 3 + 1;
+      const bool imported =
+          n >= 6 || rt == n % 3 + 1 || (n == 3 && rt == 2);
+      if (origin != n && origin != 1 && imported) expected.insert(origin);
+    }
+    EXPECT_EQ(seen, expected) << "speaker " << n;
+  }
+}
+
+TEST(Bgp, RouteRefreshRestoresFilteredRoutes) {
+  for (const bool packed : {true, false}) {
+    SCOPED_TRACE(packed ? "packed" : "legacy");
+    BgpFixture f;
+    Bgp bgp(f.cp, Bgp::Mode::kFullMesh);
+    for (ip::NodeId n = 0; n < 3; ++n) {
+      f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
+      bgp.add_speaker(n);
+    }
+    bgp.set_packing(packed);
+    bgp.enable_rt_filter(2);
+    bgp.add_import_targets(2, {RouteTarget{65000, 2}});
+    bgp.start();
+    bgp.originate(0, f.route(1, "10.1.0.0/16", 0));
+    bgp.originate(0, f.route(2, "10.2.0.0/16", 0));
+    bgp.originate(1, f.route(1, "10.3.0.0/16", 1));
+    f.topo.scheduler().run();
+    // The filter drops RT 1 before the Adj-RIB-In; pe1 keeps everything.
+    EXPECT_EQ(bgp.loc_rib_size(2), 1u);
+    EXPECT_EQ(bgp.adj_rib_in_size(2), 1u);
+    EXPECT_EQ(bgp.loc_rib_size(1), 3u);
+    EXPECT_EQ(bgp.rt_filtered(), 2u);
+    EXPECT_EQ(f.cp.message_count("bgp.refresh"), 0u);
+
+    // Joining RT 1 after start: one ROUTE-REFRESH to each peer, answered
+    // with what each would advertise to pe2.
+    bgp.add_import_targets(2, {RouteTarget{65000, 1}});
+    f.topo.scheduler().run();
+    EXPECT_EQ(bgp.loc_rib_size(2), 3u);
+    EXPECT_EQ(f.cp.message_count("bgp.refresh"), 2u);
+    EXPECT_EQ(f.cp.byte_count("bgp.refresh"), 2 * kRouteRefreshBytes);
+    const VpnRoute* back =
+        bgp.best(2, {RouteDistinguisher{65000, 1},
+                     ip::Prefix::must_parse("10.3.0.0/16")});
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->next_hop_node, 1u);
+
+    // An import set that does not grow sends nothing.
+    bgp.add_import_targets(2, {RouteTarget{65000, 1}});
+    f.topo.scheduler().run();
+    EXPECT_EQ(f.cp.message_count("bgp.refresh"), 2u);
+  }
+}
+
+TEST(Bgp, UnacceptedUpdateIsAnImplicitWithdraw) {
+  BgpFixture f;
+  Bgp bgp(f.cp, Bgp::Mode::kFullMesh);
+  for (ip::NodeId n = 0; n < 2; ++n) {
+    f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
+    bgp.add_speaker(n);
+  }
+  bgp.enable_rt_filter(1);
+  bgp.add_import_targets(1, {RouteTarget{65000, 1}});
+  std::vector<std::pair<ip::NodeId, bool>> events;
+  bgp.on_route([&](ip::NodeId at, const VpnRoute&, bool withdrawn) {
+    if (at == 1) events.emplace_back(at, withdrawn);
+  });
+  bgp.start();
+  VpnRoute r = f.route(1, "10.1.0.0/16", 0);
+  bgp.originate(0, r);
+  f.topo.scheduler().run();
+  const VpnRouteKey key{r.rd, r.prefix};
+  ASSERT_NE(bgp.best(1, key), nullptr);
+  // Same key, now exported with an RT pe1 does not import.
+  r.route_targets = {RouteTarget{65000, 9}};
+  bgp.originate(0, r);
+  f.topo.scheduler().run();
+  EXPECT_EQ(bgp.best(1, key), nullptr);
+  EXPECT_EQ(bgp.adj_rib_in_size(1), 0u);
+  EXPECT_EQ(bgp.rt_filtered(), 1u);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_TRUE(events[1].second);  // observers saw the withdraw
 }
 
 TEST(Bgp, TwoReflectorsWithdrawReachesEveryClient) {

@@ -68,6 +68,7 @@ struct BadCase {
   const char* name;
   const char* text;
   const char* expect_substr;
+  std::size_t line = 0;  ///< the error's line number, when checked
 };
 
 class ScenarioParseErrors : public ::testing::TestWithParam<BadCase> {};
@@ -79,6 +80,9 @@ TEST_P(ScenarioParseErrors, ReportsUsefulError) {
   EXPECT_FALSE(sc.has_value()) << c.name;
   EXPECT_NE(err.message.find(c.expect_substr), std::string::npos)
       << c.name << ": got '" << err.message << "'";
+  if (c.line != 0) {
+    EXPECT_EQ(err.line, c.line) << c.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -122,7 +126,51 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"police_missing_rates",
                 "backbone p=1 pe=1\nvpn v\nsite v pe=0 "
                 "prefix=10.0.0.0/8\npolice site=0 class=EF\n",
-                "cir="}));
+                "cir="},
+        // Malformed values fail on their line instead of falling back to
+        // a default.
+        BadCase{"flow_bad_on",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow onoff vpn=v from=0 to=0 on=abc\n",
+                "bad on=", 4},
+        BadCase{"flow_empty_off",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow onoff vpn=v from=0 to=0 off=\n",
+                "bad off=", 4},
+        BadCase{"shape_bad_burst",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "shape site=0 rate=1e5 burst=x\n",
+                "bad burst=", 4},
+        BadCase{"police_bad_cbs",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "police site=0 class=EF cir=62500 cbs=4k ebs=4000\n",
+                "bad cbs=", 4},
+        BadCase{"core_queue_unknown_kind",
+                "vpn v\nbackbone p=1 pe=1 core_queue=bogus\n",
+                "bad core_queue= bogus", 2},
+        BadCase{"core_queue_bad_wfq_weight",
+                "vpn v\nbackbone p=1 pe=1 core_queue=wfq:8,x,1\n",
+                "bad core_queue= wfq:8,x,1", 2},
+        BadCase{"core_queue_zero_drr_weight",
+                "vpn v\nbackbone p=1 pe=1 core_queue=drr:8,0,1\n",
+                "bad core_queue=", 2},
+        BadCase{"core_queue_bad_red_threshold",
+                "vpn v\nbackbone p=1 pe=1 core_queue=red:5,y,0.1\n",
+                "bad core_queue=", 2},
+        BadCase{"core_queue_prio_with_args",
+                "vpn v\nbackbone p=1 pe=1 core_queue=prio:3\n",
+                "bad core_queue=", 2}));
+
+TEST(ScenarioParse, EveryCoreQueueKindParses) {
+  for (const char* spec : {"fifo", "prio", "red", "red:5,15,0.1", "wfq",
+                           "wfq:8,3,1", "wfq:0.5,0.25,0.25", "drr:4,2,1"}) {
+    ScenarioError err;
+    const std::string text = std::string("backbone p=1 pe=2 core_queue=") +
+                             spec + "\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n";
+    EXPECT_TRUE(Scenario::parse(text, &err).has_value())
+        << spec << ": " << err.message;
+  }
+}
 
 TEST(ScenarioParse, ErrorCarriesLineNumber) {
   ScenarioError err;

@@ -349,6 +349,23 @@ TEST(MeasurementSink, DenseTableHandlesSparseAndUnknownFlowIds) {
   EXPECT_EQ(sink.leaks(), 1u);
 }
 
+TEST(MeasurementSink, ProbeFlowDeliveredIntoAnotherVpnIsALeak) {
+  // Stamp and delivering context agree, but flow 5 was registered for VPN
+  // 3: a source that stamped its own flow with the wrong VPN still leaks.
+  net::Topology topo;
+  qos::SlaProbe probe;
+  MeasurementSink sink(probe, topo.scheduler());
+  sink.expect_flow(5, qos::Phb::kEf, 3);
+  auto p = topo.packet_factory().make();
+  p->flow_id = 5;
+  p->true_vpn_id = 4;
+  sink.on_delivery(*p, 4);
+  EXPECT_EQ(sink.delivered(), 1u);
+  EXPECT_EQ(sink.leaks(), 1u);
+  EXPECT_EQ(sink.unknown_flows(), 0u);
+  EXPECT_FALSE(probe.has_class(qos::Phb::kEf));  // no SLA sample
+}
+
 TEST(MeasurementSink, ClaimedAndMeasuredFlowsShareOneSink) {
   // One sink per CE: endpoint flows and measured flows terminate at the
   // same hook, and every delivery lands in exactly one bucket.

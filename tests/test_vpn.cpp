@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "backbone/fixtures.hpp"
+#include "obs/metrics.hpp"
+#include "obs/topology_metrics.hpp"
 #include "traffic/sink.hpp"
 #include "traffic/source.hpp"
 #include "vpn/diagnostics.hpp"
@@ -407,6 +411,227 @@ TEST(Service, SiteJoinAfterStartPropagates) {
   ASSERT_NE(at_pe0, nullptr);
   EXPECT_NE(at_pe0->table().lookup(ip::Ipv4Address::must_parse("10.2.0.1")),
             nullptr);
+}
+
+// --- Route-target filtering and route refresh --------------------------------
+
+struct FilterCase {
+  routing::Bgp::Mode mode;
+  bool packed;
+};
+
+class LateJoin : public ::testing::TestWithParam<FilterCase> {
+ protected:
+  std::unique_ptr<backbone::MplsBackbone> make() const {
+    backbone::BackboneConfig cfg;
+    cfg.p_count = 1;
+    cfg.pe_count = 3;
+    cfg.bgp_mode = GetParam().mode;
+    cfg.route_reflector_count =
+        cfg.bgp_mode == routing::Bgp::Mode::kRouteReflector ? 1 : 0;
+    auto bb = std::make_unique<backbone::MplsBackbone>(cfg);
+    bb->bgp.set_packing(GetParam().packed);
+    return bb;
+  }
+  std::uint64_t pe_peers() const {
+    return GetParam().mode == routing::Bgp::Mode::kFullMesh ? 2 : 1;
+  }
+};
+
+TEST_P(LateJoin, VrfAddedAfterStartGetsEveryRemoteRoute) {
+  auto bb = make();
+  const VpnId a = bb->service.create_vpn("A");
+  const VpnId b = bb->service.create_vpn("B");
+  bb->add_site(a, 0, ip::Prefix::must_parse("10.1.0.0/16"));
+  bb->add_site(a, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+  bb->add_site(b, 2, ip::Prefix::must_parse("10.9.0.0/16"));
+  bb->start_and_converge();
+  // PE2 serves only B, so it dropped A's routes on arrival.
+  EXPECT_EQ(bb->bgp.loc_rib_size(bb->pe(2).id()), 1u);
+  EXPECT_GT(bb->bgp.rt_filtered(), 0u);
+
+  bb->add_site(a, 2, ip::Prefix::must_parse("10.3.0.0/16"));
+  bb->service.converge();
+  Vrf* vrf = bb->pe(2).vrf_by_vpn(a);
+  ASSERT_NE(vrf, nullptr);
+  EXPECT_EQ(vrf->table().size(), 3u);
+  for (std::size_t pe : {0u, 1u}) {
+    const ip::RouteEntry* e = vrf->table().lookup(ip::Ipv4Address(
+        10, static_cast<std::uint8_t>(pe + 1), 0, 1));
+    ASSERT_NE(e, nullptr) << "site at PE" << pe;
+    EXPECT_EQ(e->egress_pe, bb->pe(pe).id());
+  }
+  // One 23 B ROUTE-REFRESH per peer of PE2 brought them back.
+  EXPECT_EQ(bb->cp.message_count("bgp.refresh"), pe_peers());
+  EXPECT_EQ(bb->cp.byte_count("bgp.refresh"),
+            pe_peers() * routing::kRouteRefreshBytes);
+  // The members that were there before learned the newcomer.
+  EXPECT_EQ(bb->pe(0).vrf_by_vpn(a)->table().size(), 3u);
+  EXPECT_EQ(bb->pe(1).vrf_by_vpn(a)->table().size(), 3u);
+}
+
+TEST_P(LateJoin, NewVrfTakesMatchingRoutesAlreadyInTheLocRib) {
+  // PE1's corp VRF imports partner (extranet), so PE1 already accepted
+  // partner's routes. A partner VRF created there after start installs them
+  // at once, with no refresh: the import set did not grow.
+  auto bb = make();
+  const VpnId corp = bb->service.create_vpn("corp");
+  const VpnId partner = bb->service.create_vpn("partner");
+  bb->service.add_extranet_import(corp, partner);
+  bb->add_site(partner, 0, ip::Prefix::must_parse("192.168.0.0/16"));
+  bb->add_site(corp, 1, ip::Prefix::must_parse("10.1.0.0/16"));
+  bb->start_and_converge();
+
+  bb->add_site(partner, 1, ip::Prefix::must_parse("192.169.0.0/16"));
+  const ip::RouteEntry* e = bb->pe(1).vrf_by_vpn(partner)->table().lookup(
+      ip::Ipv4Address::must_parse("192.168.1.1"));
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->egress_pe, bb->pe(0).id());
+  bb->service.converge();
+  EXPECT_EQ(bb->cp.message_count("bgp.refresh"), 0u);
+
+  // A withdraw removes it from both importing VRFs.
+  bb->service.remove_site(partner, bb->pe(0),
+                          ip::Prefix::must_parse("192.168.0.0/16"));
+  bb->service.converge();
+  for (VpnId v : {corp, partner}) {
+    EXPECT_EQ(bb->pe(1).vrf_by_vpn(v)->table().lookup(
+                  ip::Ipv4Address::must_parse("192.168.1.1")),
+              nullptr)
+        << "vpn " << v;
+  }
+}
+
+TEST_P(LateJoin, RtChangeToUnimportedTargetRemovesTheVrfRoute) {
+  auto bb = make();
+  const VpnId a = bb->service.create_vpn("A");
+  const VpnId c = bb->service.create_vpn("C");
+  bb->add_site(a, 0, ip::Prefix::must_parse("10.1.0.0/16"));
+  bb->add_site(a, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+  bb->add_site(c, 0, ip::Prefix::must_parse("10.7.0.0/16"));
+  bb->start_and_converge();
+  Vrf* at_pe1 = bb->pe(1).vrf_by_vpn(a);
+  const ip::Ipv4Address probe = ip::Ipv4Address::must_parse("10.1.0.1");
+  ASSERT_NE(at_pe1->table().lookup(probe), nullptr);
+
+  // PE0 re-exports A's 10.1/16 with C's route target, which PE1 does not
+  // import: the update withdraws PE0's earlier offer there.
+  const routing::VpnRouteKey key{bb->service.rd_of(a),
+                                 ip::Prefix::must_parse("10.1.0.0/16")};
+  routing::VpnRoute moved = *bb->bgp.best(bb->pe(0).id(), key);
+  moved.route_targets = {bb->service.rt_of(c)};
+  const std::size_t before = bb->bgp.adj_rib_in_size(bb->pe(1).id());
+  bb->bgp.originate(bb->pe(0).id(), moved);
+  bb->service.converge();
+  EXPECT_EQ(bb->bgp.best(bb->pe(1).id(), key), nullptr);
+  EXPECT_LT(bb->bgp.adj_rib_in_size(bb->pe(1).id()), before);
+  EXPECT_EQ(at_pe1->table().lookup(probe), nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndPacking, LateJoin,
+    ::testing::Values(FilterCase{routing::Bgp::Mode::kFullMesh, true},
+                      FilterCase{routing::Bgp::Mode::kFullMesh, false},
+                      FilterCase{routing::Bgp::Mode::kRouteReflector, true},
+                      FilterCase{routing::Bgp::Mode::kRouteReflector, false}),
+    [](const ::testing::TestParamInfo<FilterCase>& info) {
+      return std::string(info.param.mode == routing::Bgp::Mode::kFullMesh
+                             ? "Mesh"
+                             : "Rr") +
+             (info.param.packed ? "Packed" : "Legacy");
+    });
+
+TEST(Service, PesKeepOnlyTheRoutesTheirVrfsImport) {
+  // Three VPNs over four PEs, corp importing partner (extranet). Every VRF
+  // must hold exactly what the configuration implies — its VPN's sites and
+  // the imported VPN's — while each PE's RIBs hold only routes carrying an
+  // RT one of its VRFs imports, plus its own originations.
+  for (const auto mode : {routing::Bgp::Mode::kFullMesh,
+                          routing::Bgp::Mode::kRouteReflector}) {
+    SCOPED_TRACE(mode == routing::Bgp::Mode::kFullMesh ? "mesh" : "rr");
+    backbone::BackboneConfig cfg;
+    cfg.p_count = 2;
+    cfg.pe_count = 4;
+    cfg.bgp_mode = mode;
+    cfg.route_reflector_count =
+        mode == routing::Bgp::Mode::kRouteReflector ? 2 : 0;
+    backbone::MplsBackbone bb(cfg);
+    const VpnId corp = bb.service.create_vpn("corp");
+    const VpnId partner = bb.service.create_vpn("partner");
+    const VpnId lab = bb.service.create_vpn("lab");
+    bb.service.add_extranet_import(corp, partner);
+    struct SiteAt {
+      VpnId vpn;
+      std::size_t pe;
+      const char* prefix;
+    };
+    const std::vector<SiteAt> sites = {
+        {corp, 0, "10.1.0.0/16"},     {corp, 1, "10.2.0.0/16"},
+        {partner, 1, "172.16.0.0/16"}, {partner, 2, "172.17.0.0/16"},
+        {lab, 3, "10.1.0.0/16"},      {lab, 0, "10.9.0.0/16"},
+    };
+    for (const SiteAt& s : sites) {
+      bb.add_site(s.vpn, s.pe, ip::Prefix::must_parse(s.prefix));
+    }
+    bb.start_and_converge();
+
+    std::size_t vrf_routes = 0;
+    for (std::size_t pe = 0; pe < cfg.pe_count; ++pe) {
+      const ip::NodeId id = bb.pe(pe).id();
+      std::set<routing::RouteTarget> imports;
+      for (const Vrf* vrf : bb.pe(pe).vrfs()) {
+        imports.insert(vrf->config().import_targets.begin(),
+                       vrf->config().import_targets.end());
+        // Expected: every site of a VPN this VRF imports (a PE imports
+        // no route it originated itself, so a local site of another VPN
+        // stays out).
+        std::size_t expected = 0;
+        for (const SiteAt& s : sites) {
+          const bool wanted =
+              s.vpn == vrf->vpn_id() ||
+              (vrf->vpn_id() == corp && s.vpn == partner && s.pe != pe);
+          if (!wanted) continue;
+          ++expected;
+          const ip::RouteEntry* e = vrf->table().find(
+              ip::Prefix::must_parse(s.prefix));
+          ASSERT_NE(e, nullptr) << "PE" << pe << " " << s.prefix;
+          if (s.pe == pe) {
+            EXPECT_EQ(e->source, ip::RouteSource::kConnected);
+          } else {
+            EXPECT_EQ(e->source, ip::RouteSource::kVpn);
+            EXPECT_EQ(e->egress_pe, bb.pe(s.pe).id());
+          }
+        }
+        EXPECT_EQ(vrf->table().size(), expected) << "PE" << pe;
+        vrf_routes += expected;
+      }
+      const std::vector<routing::VpnRoute> rib = bb.bgp.loc_rib(id);
+      for (const routing::VpnRoute& r : rib) {
+        const bool imported =
+            std::any_of(r.route_targets.begin(), r.route_targets.end(),
+                        [&](const auto& rt) { return imports.count(rt) != 0; });
+        EXPECT_TRUE(r.originator == id || imported)
+            << "PE" << pe << " holds " << r.prefix.to_string();
+      }
+      if (mode == routing::Bgp::Mode::kFullMesh) {
+        // One origin per key: the Adj-RIB-In is the Loc-RIB's size.
+        EXPECT_EQ(bb.bgp.adj_rib_in_size(id), rib.size()) << "PE" << pe;
+      }
+    }
+    EXPECT_EQ(bb.service.total_vrf_routes(), vrf_routes);
+    // PE3 (lab only) dropped all four corp/partner routes, PE2 (partner)
+    // corp's and lab's, and so on: the filter did work.
+    EXPECT_GT(bb.bgp.rt_filtered(), 0u);
+    obs::MetricsRegistry reg;
+    obs::register_control_metrics(bb.cp, bb.bgp, bb.igp, reg);
+    bool found = false;
+    for (const auto& sample : reg.snapshot()) {
+      if (sample.name != "control/bgp/rt_filtered") continue;
+      found = true;
+      EXPECT_EQ(sample.value, static_cast<double>(bb.bgp.rt_filtered()));
+    }
+    EXPECT_TRUE(found);
+  }
 }
 
 TEST(MembershipDirectory, NotifiesMembersScopedPerVpn) {
